@@ -388,7 +388,8 @@ class CampaignRunner:
         try:
             self.execute([p.task for p in to_run], complete,
                          jobs=jobs, baselines=baselines)
-            # 4. decoder runs whole in the parent (one logic pass)
+            # 4. assemble; the decoder is fault-simulated here, in the
+            # parent (one bit-parallel pass over its 256 codes)
             analyses = self._assemble(wanted, plans, results)
         finally:
             if journal is not None:

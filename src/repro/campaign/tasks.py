@@ -33,8 +33,8 @@ from ..faultsim.macro_engines import (BiasgenFaultEngine,
 from ..macrotest.coverage import DetectionRecord
 
 #: macros whose classes are dispatched as pool tasks (the digital
-#: decoder is analysed whole in the parent — it is one cheap logic
-#: pass, not thousands of analog transients)
+#: decoder is analysed whole in the parent: one bit-parallel fault
+#: simulation over its 256 codes, not thousands of analog transients)
 ANALOG_MACROS = ("comparator", "ladder", "biasgen", "clockgen")
 
 

@@ -3,7 +3,9 @@
 A pragmatic test generator for the gate-level substrate: draw candidate
 vectors, fault-simulate with fault dropping, and keep every vector that
 detects something new.  A final reverse-greedy compaction pass removes
-vectors made redundant by later ones.
+vectors made redundant by later ones.  The helpers fault-simulate
+through :class:`~repro.digital.faults.FaultSimulator`; fault simulation
+and compaction pack the whole vector set into one word per net.
 
 This exists for the decoder-macro analysis: in functional mode the
 decoder only ever sees the 2^n thermometer codes, and the interesting
@@ -19,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .faults import StuckAtFault, all_stuck_at_faults, detects_stuck_at
+from .faults import FaultSimulator, StuckAtFault, all_stuck_at_faults
 from .netlist import LogicNetlist
 
 
@@ -46,26 +48,18 @@ def fault_simulate(netlist: LogicNetlist,
                    vectors: Sequence[Dict[str, bool]],
                    faults: Optional[Sequence[StuckAtFault]] = None
                    ) -> Dict[StuckAtFault, Optional[int]]:
-    """Fault simulation with fault dropping.
+    """Fault simulation of a vector set.
 
     Returns:
         fault -> index of the first detecting vector (None if escaped).
     """
     faults = list(faults if faults is not None
                   else all_stuck_at_faults(netlist))
-    result: Dict[StuckAtFault, Optional[int]] = {f: None for f in faults}
-    remaining: Set[StuckAtFault] = set(faults)
-    for index, vector in enumerate(vectors):
-        if not remaining:
-            break
-        values = netlist.evaluate(vector)
-        for fault in list(remaining):
-            # a fault is excitable only if the good value differs
-            if values.get(fault.net) == fault.value:
-                continue
-            if detects_stuck_at(netlist, fault, vector):
-                result[fault] = index
-                remaining.discard(fault)
+    simulator = FaultSimulator(netlist, vectors)
+    result: Dict[StuckAtFault, Optional[int]] = {}
+    for fault in faults:
+        word = simulator.detection(fault)
+        result[fault] = (word & -word).bit_length() - 1 if word else None
     return result
 
 
@@ -112,10 +106,8 @@ def generate_tests(netlist: LogicNetlist,
         if tried >= max_candidates or not remaining:
             break
         tried += 1
-        values = netlist.evaluate(vector)
-        newly = [f for f in remaining
-                 if values.get(f.net) != f.value and
-                 detects_stuck_at(netlist, f, vector)]
+        simulator = FaultSimulator(netlist, [vector])
+        newly = [f for f in remaining if simulator.detection(f)]
         if newly:
             selected.append(vector)
             remaining.difference_update(newly)
@@ -136,15 +128,17 @@ def compact_tests(netlist: LogicNetlist,
     """Reverse-greedy compaction: drop vectors that cost no coverage."""
     faults = list(faults if faults is not None
                   else all_stuck_at_faults(netlist))
-    baseline = sum(1 for d in fault_simulate(netlist, vectors,
-                                             faults).values()
-                   if d is not None)
-    kept = list(vectors)
-    for index in range(len(kept) - 1, -1, -1):
-        trial = kept[:index] + kept[index + 1:]
-        detected = sum(1 for d in fault_simulate(netlist, trial,
-                                                 faults).values()
-                       if d is not None)
-        if detected == baseline:
+    simulator = FaultSimulator(netlist, vectors)
+    words = [simulator.detection(fault) for fault in faults]
+
+    def detected(kept: int) -> int:
+        return sum(1 for word in words if word & kept)
+
+    kept = simulator.mask
+    baseline = detected(kept)
+    for index in range(len(vectors) - 1, -1, -1):
+        trial = kept & ~(1 << index)
+        if detected(trial) == baseline:
             kept = trial
-    return kept
+    return [vector for index, vector in enumerate(vectors)
+            if kept >> index & 1]

@@ -32,9 +32,8 @@ from ..defects.collapse import FaultClass
 from ..defects.faults import (Fault, GateOxidePinholeFault,
                               JunctionPinholeFault, NewDeviceFault,
                               OpenFault, ShortedDeviceFault)
-from ..digital.faults import (BridgingFault, StuckAtFault,
-                              iddq_detects_bridge, logic_detects_bridge,
-                              detects_stuck_at, neighbouring_bridges)
+from ..digital.faults import (BridgingFault, FaultSimulator, StuckAtFault,
+                              neighbouring_bridges)
 from ..digital.netlist import LogicNetlist
 from ..macrotest.coverage import DetectionRecord
 from ..macrotest.propagate import (propagate_bank_behavior,
@@ -749,8 +748,9 @@ class DecoderFaultEngine:
     netlist: Optional[LogicNetlist] = None
     n_bridge_sample: int = 400
     n_stuck_sample: int = 200
-    #: logic detection tries at most this many differing vectors per
-    #: fault (underestimates logic coverage slightly; documented)
+    #: logic detection scores only this many activating codes per
+    #: fault (underestimates logic coverage; the cost is measured in
+    #: EXPERIMENTS.md)
     max_logic_probes: int = 3
     seed: int = 0
 
@@ -758,21 +758,16 @@ class DecoderFaultEngine:
         if self.netlist is None:
             from ..adc.decoder import build_decoder
             self.netlist = build_decoder(8)
-        self._vectors: Optional[List[Dict[str, bool]]] = None
-        self._values: Optional[List[Dict[str, bool]]] = None
+        self._simulator: Optional[FaultSimulator] = None
 
-    def vectors(self) -> List[Dict[str, bool]]:
-        if self._vectors is None:
+    def simulator(self) -> FaultSimulator:
+        """The 256 thermometer codes, packed once (lane k = code k)."""
+        if self._simulator is None:
             from ..adc.decoder import thermometer_vector
-            self._vectors = [thermometer_vector(code, 8)
-                             for code in range(256)]
-            self._values = [self.netlist.evaluate(v)
-                            for v in self._vectors]
-        return self._vectors
-
-    def _good_values(self) -> List[Dict[str, bool]]:
-        self.vectors()
-        return self._values
+            self._simulator = FaultSimulator(
+                self.netlist,
+                [thermometer_vector(code, 8) for code in range(256)])
+        return self._simulator
 
     def simulate_class(self, fault) -> DetectionRecord:
         """Detection record of one digital fault (the
@@ -780,40 +775,30 @@ class DecoderFaultEngine:
 
         Accepts a :class:`~repro.digital.faults.BridgingFault` or
         :class:`~repro.digital.faults.StuckAtFault` (the decoder's
-        fault universe is digital, not a collapsed analog class).
+        fault universe is digital, not a collapsed analog class).  Logic
+        detection is scored on the first ``max_logic_probes`` codes
+        that activate the fault; a bridge any code activates is IDDQ
+        detected.
+
+        Raises:
+            LogicError: naming a faulted net the netlist lacks.
         """
-        vectors = self.vectors()
-        values = self._good_values()
         if isinstance(fault, BridgingFault):
-            differing = [k for k, vals in enumerate(values)
-                         if vals[fault.net_a] != vals[fault.net_b]]
-            iddq_det = bool(differing)
-            logic_det = False
-            for k in differing[:self.max_logic_probes]:
-                if logic_detects_bridge(self.netlist, fault,
-                                        vectors[k]):
-                    logic_det = True
-                    break
-            mechanisms = frozenset({CurrentMechanism.IDDQ}) \
-                if iddq_det else frozenset()
-            return DetectionRecord(
-                count=1, voltage_detected=logic_det,
-                mechanisms=mechanisms,
-                fault_type="short",
-                detected_by=_detected_by(logic_det, mechanisms))
-        if isinstance(fault, StuckAtFault):
-            differing = [k for k, vals in enumerate(values)
-                         if vals.get(fault.net) != fault.value]
-            detected = False
-            for k in differing[:self.max_logic_probes]:
-                if detects_stuck_at(self.netlist, fault, vectors[k]):
-                    detected = True
-                    break
-            return DetectionRecord(
-                count=1, voltage_detected=detected,
-                mechanisms=frozenset(), fault_type="open",
-                detected_by=_detected_by(detected, frozenset()))
-        raise TypeError(f"unsupported decoder fault {fault!r}")
+            fault_type = "short"
+        elif isinstance(fault, StuckAtFault):
+            fault_type = "open"
+        else:
+            raise TypeError(f"unsupported decoder fault {fault!r}")
+        simulator = self.simulator()
+        logic_det = simulator.detected_within(fault,
+                                              self.max_logic_probes)
+        mechanisms = frozenset()
+        if fault_type == "short" and simulator.activation(fault):
+            mechanisms = frozenset({CurrentMechanism.IDDQ})
+        return DetectionRecord(
+            count=1, voltage_detected=logic_det, mechanisms=mechanisms,
+            fault_type=fault_type,
+            detected_by=_detected_by(logic_det, mechanisms))
 
     def run(self, rng: Optional[np.random.Generator] = None
             ) -> Tuple[List[DetectionRecord], List[DetectionRecord]]:

@@ -4,11 +4,11 @@ import itertools
 
 import pytest
 
-from repro.digital import (BridgingFault, LogicNetlist, StuckAtFault,
-                           all_stuck_at_faults, detects_stuck_at,
-                           iddq_bridge_coverage, iddq_detects_bridge,
-                           logic_detects_bridge, neighbouring_bridges,
-                           stuck_at_coverage)
+from repro.digital import (BridgingFault, LogicError, LogicNetlist,
+                           StuckAtFault, all_stuck_at_faults,
+                           detects_stuck_at, iddq_bridge_coverage,
+                           iddq_detects_bridge, logic_detects_bridge,
+                           neighbouring_bridges, stuck_at_coverage)
 
 
 def and_gate_netlist():
@@ -107,3 +107,31 @@ class TestBridging:
     def test_max_pairs_limit(self):
         n = and_gate_netlist()
         assert len(neighbouring_bridges(n, max_pairs=2)) == 2
+
+
+class TestUnknownNets:
+    """Faults on nets the netlist lacks raise instead of escaping."""
+
+    VECTOR = {"a": True, "b": True}
+
+    def test_stuck_at(self):
+        with pytest.raises(LogicError, match="'typo'"):
+            detects_stuck_at(and_gate_netlist(), StuckAtFault("typo", True),
+                             self.VECTOR)
+
+    def test_stuck_at_coverage(self):
+        with pytest.raises(LogicError, match="'typo'"):
+            stuck_at_coverage(and_gate_netlist(), [self.VECTOR],
+                              [StuckAtFault("typo", False)])
+
+    @pytest.mark.parametrize("check", [iddq_detects_bridge,
+                                       logic_detects_bridge])
+    def test_bridge(self, check):
+        with pytest.raises(LogicError, match="'nope'"):
+            check(and_gate_netlist(), BridgingFault("a", "nope"),
+                  self.VECTOR)
+
+    def test_forced_net(self):
+        with pytest.raises(LogicError, match="'typo'"):
+            and_gate_netlist().outputs(self.VECTOR,
+                                       forced_nets={"typo": False})

@@ -113,3 +113,15 @@ class TestLogicNetlist:
     def test_nets_enumeration(self):
         n = half_adder()
         assert n.nets() == {"a", "b", "sum", "carry"}
+
+    def test_compiled_program_follows_edits(self):
+        n = half_adder()
+        first = n.compile()
+        assert n.compile() is first
+        assert n.outputs({"a": True, "b": True}) == {"sum": False,
+                                                    "carry": True}
+        n.add_gate("gn", "NOR2", ["sum", "carry"], "none")
+        n.add_output("none")
+        assert n.compile() is not first
+        assert n.outputs({"a": False, "b": False}) == {
+            "sum": False, "carry": False, "none": True}
