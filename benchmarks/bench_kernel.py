@@ -26,7 +26,8 @@ from repro.adc.comparator import (CLOCK_PERIOD, build_testbench,
                                   regeneration_windows)
 from repro.adc.process import reduced_corners
 from repro.circuit.batch import clear_kernel_cache, transient_lanes
-from repro.circuit.transient import TransientResult
+from repro.circuit.dc import ConvergenceError
+from repro.circuit.transient import TransientResult, transient
 from repro.core import add_engine_arguments, engine_knobs
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
@@ -66,15 +67,24 @@ def run_bench(dt=1e-9, big_probe=0.1, corners=None) -> dict:
                                    big_probe=big_probe)
     windows = regeneration_windows(CLOCK_PERIOD, 1)
 
-    def run(batch):
+    def scalar_lane(circuit):
+        try:
+            return transient(circuit, tstop=CLOCK_PERIOD, dt=dt,
+                             fine_windows=windows)
+        except ConvergenceError as exc:
+            return exc
+
+    def run(solve):
         clear_kernel_cache()
         started = time.perf_counter()
-        lanes = transient_lanes(circuits, tstop=CLOCK_PERIOD, dt=dt,
-                                fine_windows=windows, batch=batch)
+        lanes = solve()
         return time.perf_counter() - started, lanes
 
-    scalar_wall, scalar = run(batch=False)
-    batched_wall, batched = run(batch=True)
+    scalar_wall, scalar = run(
+        lambda: [scalar_lane(c) for c in circuits])
+    batched_wall, batched = run(
+        lambda: transient_lanes(circuits, tstop=CLOCK_PERIOD, dt=dt,
+                                fine_windows=windows))
     return {
         "workload": "comparator good-space "
                     f"({len(circuits)} lanes, dt={dt:g})",

@@ -11,12 +11,13 @@ a fraction of the naive all-measurements cost.
 from conftest import emit
 
 from repro.macrotest import macro_breakdown
-from repro.testgen import full_plan_cost, optimize_test_plan
+from repro.optimize import greedy_test_plan
+from repro.testgen import full_plan_cost
 
 
 def test_plan_optimization(benchmark, std_path_result):
     comparator = std_path_result.macros["comparator"].result
-    plan = benchmark.pedantic(optimize_test_plan, (comparator,),
+    plan = benchmark.pedantic(greedy_test_plan, (comparator,),
                               rounds=1, iterations=1)
     breakdown = macro_breakdown(comparator)
 

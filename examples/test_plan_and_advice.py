@@ -15,7 +15,8 @@ Takes a few minutes.  Usage::
 
 from repro.core import DefectOrientedTestPath, PathConfig, render_advice
 from repro.macrotest import macro_breakdown
-from repro.testgen import full_plan_cost, optimize_test_plan
+from repro.optimize import greedy_test_plan
+from repro.testgen import full_plan_cost
 
 
 def main() -> None:
@@ -30,7 +31,7 @@ def main() -> None:
           f"current {100 * breakdown.current:.1f}%  "
           f"total {100 * breakdown.total:.1f}%\n")
 
-    plan = optimize_test_plan(comparator)
+    plan = greedy_test_plan(comparator)
     print("optimized measurement plan "
           f"(naive plan: {1000 * full_plan_cost():.2f} ms):")
     print(plan.describe())

@@ -76,9 +76,8 @@ def _normalized_spec(spec: EngineSpec) -> EngineSpec:
     ``warm_start`` and ``drop`` change how fast a record is computed,
     never what it says, so campaigns run with different settings share
     cache entries (and an incremental run can adopt an exhaustive
-    run's results verbatim).  The dense solver family
-    (``auto``/``dense``/``dense-batched``) is bit-identical by
-    construction and collapses to one key; ``sparse`` factorises
+    run's results verbatim).  ``auto`` and ``dense`` name the same
+    dense kernel and collapse to one key; ``sparse`` factorises
     through different arithmetic (agreeing only within Newton
     tolerance), so it keys separately.
     """

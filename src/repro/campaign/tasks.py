@@ -63,8 +63,8 @@ class EngineSpec:
             left the good space (results identical; performance knob
             only — excluded from content keys).
         solver: linear backend (:data:`repro.circuit.backend.SOLVERS`).
-            ``auto``/``dense``/``dense-batched`` are bit-identical and
-            share content keys; ``sparse`` trades bit identity for
+            ``auto`` and ``dense`` name the same dense kernel and share
+            content keys; ``sparse`` trades bit identity for
             wall-clock and keys separately.
     """
 

@@ -52,8 +52,7 @@ class ACResult:
 
 
 def ac_analysis(circuit: Circuit, freqs: Sequence[float],
-                op: Optional[DCResult] = None,
-                solver: str = "auto") -> ACResult:
+                op: Optional[DCResult] = None) -> ACResult:
     """Run AC analysis at the given frequencies.
 
     Args:
@@ -61,14 +60,11 @@ def ac_analysis(circuit: Circuit, freqs: Sequence[float],
             magnitude drive the small-signal system.
         freqs: frequencies in Hz.
         op: optional pre-computed operating point.
-        solver: linear backend; ``sparse`` solves the complex system
-            through SuperLU (and the operating point through the
-            sparse scalar backend).
     """
     if op is None:
-        op = operating_point(circuit, solver=solver)
+        op = operating_point(circuit)
     compiled = op.compiled
-    system = MNASystem(compiled, dtype=complex, solver=solver)
+    system = MNASystem(compiled, dtype=complex)
     ctx = StampContext(mode="ac")
     xs = np.zeros((len(freqs), compiled.size), dtype=complex)
     for k, f in enumerate(freqs):

@@ -1,17 +1,13 @@
-"""Pluggable linear-solve backends for the MNA kernels.
+"""Linear-solve backends for the MNA kernels.
 
-The solver layer behind every Newton iteration — scalar
-(:class:`~repro.circuit.mna.MNASystem`) and batched
-(:mod:`repro.circuit.batch`) — is factored behind a small
-``LinearBackend`` protocol with three implementations:
+Every Newton iteration ends in a linear solve.  The ``solver`` knob
+picks how the batched kernel (:mod:`repro.circuit.batch`) performs it:
 
 ``dense``
-    The original behavior: one ``numpy.linalg.solve`` per system.
-    Bit-identical to the seed kernel by construction.
-
-``dense-batched``
-    The existing ``(B, n, n)`` stacked LAPACK solve with per-lane
-    fallback.  Also bit-identical; it is what ``auto`` resolves to.
+    The ``(B, n, n)`` stacked LAPACK solve with per-lane fallback.
+    Bit-identical to the scalar reference path
+    (:class:`~repro.circuit.mna.MNASystem`, one ``numpy.linalg.solve``
+    per system); it is what ``auto`` resolves to.
 
 ``sparse``
     CSR/CSC assembly driven by the compiled contribution program:
@@ -29,7 +25,7 @@ The solver layer behind every Newton iteration — scalar
 
 ``scipy`` is optional: without it ``HAVE_SPARSE`` is ``False`` and
 ``resolve_solver`` degrades ``sparse`` requests to the pure-numpy
-``dense-batched`` path, so every entry point keeps working.
+``dense`` path, so every entry point keeps working.
 
 The module also hosts the per-phase timing counters (``assemble`` /
 ``factor`` / ``solve`` / ``convergence_check``) that the campaign
@@ -58,10 +54,6 @@ __all__ = [
     "HAVE_SPARSE",
     "SOLVERS",
     "resolve_solver",
-    "LinearBackend",
-    "DenseBackend",
-    "ScalarSparseBackend",
-    "scalar_backend",
     "SparsePattern",
     "record_phase",
     "phase_timer",
@@ -73,24 +65,22 @@ __all__ = [
 ]
 
 #: the valid values of every ``solver`` knob in the system
-SOLVERS = ("auto", "dense", "dense-batched", "sparse")
+SOLVERS = ("auto", "dense", "sparse")
 
 
 def resolve_solver(solver: str) -> str:
     """Validate a solver knob and resolve it to an available backend.
 
-    ``auto`` resolves to ``dense-batched`` (the bit-identical default);
-    ``sparse`` degrades to ``dense-batched`` when scipy is absent so a
+    ``auto`` resolves to ``dense`` (the bit-identical default);
+    ``sparse`` degrades to ``dense`` when scipy is absent so a
     pure-numpy install keeps working end to end.
     """
     if solver not in SOLVERS:
         raise ValueError(
             f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    if solver == "auto":
-        return "dense-batched"
-    if solver == "sparse" and not HAVE_SPARSE:
-        return "dense-batched"
-    return solver
+    if solver == "sparse" and HAVE_SPARSE:
+        return "sparse"
+    return "dense"
 
 
 # ---------------------------------------------------------------------------
@@ -152,79 +142,6 @@ def snapshot_matrix() -> Dict[str, object]:
 
 def reset_matrix() -> None:
     _MATRIX_INFO.clear()
-
-
-# ---------------------------------------------------------------------------
-# scalar backends (MNASystem.solve)
-
-
-class LinearBackend:
-    """Protocol for a scalar linear solve ``G x = b``.
-
-    Implementations take an assembled dense ``G`` (the scalar stamping
-    path always assembles dense; at ~20-transistor macro sizes that is
-    the right call) and either solve it directly or convert to sparse
-    first.  ``numpy.linalg.LinAlgError`` signals a singular system in
-    every implementation, preserving the Newton continuation contract.
-    """
-
-    name = "abstract"
-
-    def solve(self, G: np.ndarray, b: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class DenseBackend(LinearBackend):
-    """The original dense LAPACK solve — bit-identical to the seed."""
-
-    name = "dense"
-
-    def solve(self, G: np.ndarray, b: np.ndarray) -> np.ndarray:
-        t0 = perf_counter()
-        try:
-            return np.linalg.solve(G, b)
-        finally:
-            record_phase("solve", perf_counter() - t0)
-
-
-class ScalarSparseBackend(LinearBackend):
-    """SuperLU solve of the scalar system (real or complex).
-
-    Converts the assembled dense matrix to CSC per call — useful for
-    API completeness (``dc``/``ac`` honour the knob) and for very
-    large scalar systems; the batched program path is where the
-    pattern/ordering reuse pays off.
-    """
-
-    name = "sparse"
-
-    def solve(self, G: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if not HAVE_SPARSE:  # degrade: pure-numpy installs stay alive
-            return DenseBackend().solve(G, b)
-        t0 = perf_counter()
-        try:
-            lu = splu(csc_matrix(G), permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # SuperLU signals singularity here
-            record_phase("factor", perf_counter() - t0)
-            raise np.linalg.LinAlgError(str(exc)) from exc
-        record_phase("factor", perf_counter() - t0)
-        t0 = perf_counter()
-        x = lu.solve(b)
-        record_phase("solve", perf_counter() - t0)
-        if not np.all(np.isfinite(x)):
-            raise np.linalg.LinAlgError(
-                "sparse solve produced non-finite solution")
-        return x
-
-
-_DENSE = DenseBackend()
-_SPARSE_SCALAR = ScalarSparseBackend()
-
-
-def scalar_backend(solver: str) -> LinearBackend:
-    """Resolve a solver knob to the scalar backend instance."""
-    return _SPARSE_SCALAR if resolve_solver(solver) == "sparse" \
-        else _DENSE
 
 
 # ---------------------------------------------------------------------------

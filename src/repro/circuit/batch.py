@@ -76,23 +76,12 @@ def structure_signature(circuit: Circuit) -> tuple:
         for el in circuit.elements)
 
 
-def _masked(value, mask):
-    """Align a scalar-or-(B,) stamp value with a lane mask."""
-    if np.ndim(value) == 0:
-        return value
-    return value[mask]
-
-
 class BatchedMNASystem:
-    """Dense ``(B, n, n)`` MNA stack with masked stamping helpers.
+    """Dense ``(B, n, n)`` MNA stack of one lane group.
 
-    The helpers mirror :class:`~repro.circuit.mna.MNASystem` entry by
-    entry; ``value`` may be a scalar (same for all lanes) or a ``(B,)``
-    array, and ``mask`` restricts a stamp to a lane subset (the MOSFET
-    source/drain swap groups).  The production assembly path is the
-    compiled contribution program (:class:`_BatchProgram`); these helpers
-    back the per-element ``stamp_batch`` reference path the tests check
-    the program against.
+    The compiled contribution program (:class:`_BatchProgram`) writes
+    ``G``/``b`` directly; the system owns the buffers, the stacked
+    solve and the index helpers the elements' ``batch_slot`` reads.
     """
 
     #: which linear backend this system solves through
@@ -105,7 +94,6 @@ class BatchedMNASystem:
         self.G = np.zeros((nlanes, self.n, self.n))
         self.b = np.zeros((nlanes, self.n))
         self._eye: Optional[np.ndarray] = None
-        record_matrix("dense-batched", self.n, self.n * self.n, nlanes)
 
     def solve_stack(self, program, active: np.ndarray):
         """Solve the active lanes; ``(X_new, ok)`` like ``_solve_stack``.
@@ -137,65 +125,6 @@ class BatchedMNASystem:
         vj = X[:, j] if j >= 0 else 0.0
         return vi - vj
 
-    # -- stamping helpers ---------------------------------------------------
-
-    def reset(self) -> None:
-        self.G[:] = 0.0
-        self.b[:] = 0.0
-
-    def add_entry(self, row, col, value, mask=None) -> None:
-        if row >= 0 and col >= 0:
-            if mask is None:
-                self.G[:, row, col] += value
-            else:
-                self.G[mask, row, col] += _masked(value, mask)
-
-    def add_rhs(self, row, value, mask=None) -> None:
-        if row >= 0:
-            if mask is None:
-                self.b[:, row] += value
-            else:
-                self.b[mask, row] += _masked(value, mask)
-
-    def add_conductance(self, i, j, g, mask=None) -> None:
-        if mask is None:
-            if i >= 0:
-                self.G[:, i, i] += g
-            if j >= 0:
-                self.G[:, j, j] += g
-            if i >= 0 and j >= 0:
-                self.G[:, i, j] -= g
-                self.G[:, j, i] -= g
-        else:
-            gm = _masked(g, mask)
-            if i >= 0:
-                self.G[mask, i, i] += gm
-            if j >= 0:
-                self.G[mask, j, j] += gm
-            if i >= 0 and j >= 0:
-                self.G[mask, i, j] -= gm
-                self.G[mask, j, i] -= gm
-
-    def add_current(self, node, value, mask=None) -> None:
-        if node >= 0:
-            if mask is None:
-                self.b[:, node] += value
-            else:
-                self.b[mask, node] += _masked(value, mask)
-
-    def add_transconductance(self, p, n, cp, cn, g, mask=None) -> None:
-        for row, sign_r in ((p, 1.0), (n, -1.0)):
-            if row < 0:
-                continue
-            if cp >= 0:
-                self.add_entry(row, cp, sign_r * g, mask=mask)
-            if cn >= 0:
-                contrib = sign_r * g
-                if mask is None:
-                    self.G[:, row, cn] -= contrib
-                else:
-                    self.G[mask, row, cn] -= _masked(contrib, mask)
-
 
 class SparseBatchedMNASystem(BatchedMNASystem):
     """Sparse counterpart of :class:`BatchedMNASystem`.
@@ -211,8 +140,7 @@ class SparseBatchedMNASystem(BatchedMNASystem):
     ill-conditioned.
 
     The index helpers (``indices``/``branch``/``voltage``) are
-    inherited; the dense stamping helpers are unreachable (nothing
-    assembles a sparse system element by element).
+    inherited.
     """
 
     kind = "sparse"
@@ -245,36 +173,6 @@ class SparseBatchedMNASystem(BatchedMNASystem):
             X_new[k] = x
             ok[k] = True
         return X_new, ok
-
-
-# -- reference slot assembly -------------------------------------------------
-
-
-def _build_slots(circuits: Sequence[Circuit], system: BatchedMNASystem):
-    """Precompute per-element index/parameter slots for a lane group.
-
-    Raises :class:`BatchUnsupported` when any element position cannot
-    be stamped batched (callers fall back to the scalar path).
-    """
-    per_lane = [list(c.elements) for c in circuits]
-    slots = []
-    for pos, el in enumerate(per_lane[0]):
-        lanes = [elements[pos] for elements in per_lane]
-        slots.append((el, el.batch_slot(system, lanes)))
-    return slots
-
-
-def _assemble(system: BatchedMNASystem, slots, X: np.ndarray,
-              ctx: StampContext) -> None:
-    """Reference assembly through the elements' ``stamp_batch`` methods.
-
-    Semantically (and bitwise) equal to :meth:`_BatchProgram.assemble`;
-    kept as the executable specification the tests diff the program
-    against, element type by element type.
-    """
-    system.reset()
-    for el, slot in slots:
-        el.stamp_batch(system, X, ctx, slot)
 
 
 # -- compiled contribution program -------------------------------------------
@@ -886,6 +784,8 @@ class _BatchProgram:
         self.POS: Optional[np.ndarray] = None
         if system.kind == "sparse":
             self._bind_sparse(builder)
+        else:
+            record_matrix("dense", n, n * n, nlanes)
 
     def _bind_sparse(self, builder: _ProgramBuilder) -> None:
         """Compute the fixed sparsity pattern of this program.
@@ -1138,19 +1038,14 @@ def _operating_point_batch(program: _BatchProgram, system: BatchedMNASystem,
     return X_out, errors
 
 
-def _batch_group(batch: bool, solver: str, nmembers: int) -> bool:
+def _batch_group(solver: str, nmembers: int) -> bool:
     """Shared group-size policy of the ``*_lanes`` entry points.
 
-    ``dense`` forces the scalar path (the seed behavior, lane by
-    lane); ``dense-batched`` (what ``auto`` resolves to) batches
-    groups of two or more, as the kernel always has; ``sparse``
-    batches every group *including singletons* — a single full-chip
-    lane is exactly where the sparse backend pays.
+    ``dense`` (what ``auto`` resolves to) batches groups of two or
+    more and solves singletons on the scalar path; ``sparse`` batches
+    every group *including singletons* — a single full-chip lane is
+    exactly where the sparse backend pays.
     """
-    if not batch:
-        return False
-    if solver == "dense":
-        return False
     if solver == "sparse":
         return nmembers >= 1
     return nmembers > 1
@@ -1158,7 +1053,6 @@ def _batch_group(batch: bool, solver: str, nmembers: int) -> bool:
 
 def operating_point_lanes(circuits: Sequence[Circuit], gmin: float = 1e-12,
                           time: float = 0.0, max_iter: int = 120,
-                          batch: bool = True,
                           x0_guesses: Optional[Sequence] = None,
                           solver: str = "auto"
                           ) -> List[Union[DCResult, ConvergenceError]]:
@@ -1178,9 +1072,9 @@ def operating_point_lanes(circuits: Sequence[Circuit], gmin: float = 1e-12,
             start cold); threaded to both the batched ladder and any
             scalar fallback so the two paths see the same inputs.
         solver: linear backend (see
-            :data:`~repro.circuit.backend.SOLVERS`).  ``dense`` forces
-            the scalar path, ``sparse`` batches every group including
-            singletons; failed sparse lanes still retry scalar dense.
+            :data:`~repro.circuit.backend.SOLVERS`).  ``sparse``
+            batches every group including singletons; failed sparse
+            lanes still retry on the scalar path.
     """
     circuits = list(circuits)
     if x0_guesses is None:
@@ -1205,7 +1099,7 @@ def operating_point_lanes(circuits: Sequence[Circuit], gmin: float = 1e-12,
     for members in groups.values():
         lane_circuits = [circuits[k] for k in members]
         solved = False
-        if _batch_group(batch, resolved, len(members)):
+        if _batch_group(resolved, len(members)):
             try:
                 compiled = lane_circuits[0].compile()
                 system = _get_system(compiled, len(members), kind)
@@ -1438,7 +1332,6 @@ def transient_batch(circuits: Sequence[Circuit], tstop: float, dt: float,
 def transient_lanes(circuits: Sequence[Circuit], tstop: float, dt: float,
                     method: str = "be", record_every: int = 1,
                     fine_windows: Optional[Sequence] = None,
-                    batch: bool = True,
                     guides: Optional[Sequence] = None,
                     solver: str = "auto") -> List[LaneResult]:
     """Transients for arbitrary lanes, batched where structure allows.
@@ -1452,17 +1345,14 @@ def transient_lanes(circuits: Sequence[Circuit], tstop: float, dt: float,
     :class:`ConvergenceError` the scalar path raises.
 
     Args:
-        batch: when False, every lane runs scalar (debug / comparison
-            knob).
         guides: optional per-lane ``(times, xs)`` warm-start guides
             (None entries run cold) already aligned to each lane's
             unknown ordering; ``xs[0]`` doubles as the t=0 operating
             point's warm guess.  Threaded identically to the batched
             kernel and the scalar fallback.
-        solver: linear backend.  ``dense`` forces the scalar path,
-            ``sparse`` batches every group including singletons;
-            lanes the sparse kernel gives up on still retry through
-            the scalar dense path.
+        solver: linear backend.  ``sparse`` batches every group
+            including singletons; lanes the sparse kernel gives up on
+            still retry through the scalar path.
     """
     from .transient import transient
 
@@ -1488,7 +1378,7 @@ def transient_lanes(circuits: Sequence[Circuit], tstop: float, dt: float,
         groups.setdefault(structure_signature(c), []).append(k)
 
     for members in groups.values():
-        if _batch_group(batch, resolved, len(members)):
+        if _batch_group(resolved, len(members)):
             try:
                 op_x0, guide = _stack_guides(
                     [guides[k] for k in members],

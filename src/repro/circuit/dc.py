@@ -95,8 +95,7 @@ def _newton(circuit: Circuit, system: MNASystem, ctx: StampContext,
 
 def operating_point(circuit: Circuit, x0: Optional[np.ndarray] = None,
                     gmin: float = 1e-12, time: float = 0.0,
-                    max_iter: int = 120,
-                    solver: str = "auto") -> DCResult:
+                    max_iter: int = 120) -> DCResult:
     """Solve the DC operating point of *circuit*.
 
     Tries plain Newton first, then gmin stepping, then source stepping.
@@ -106,14 +105,12 @@ def operating_point(circuit: Circuit, x0: Optional[np.ndarray] = None,
         x0: optional initial guess (e.g. the previous timepoint).
         gmin: final gmin value left in the circuit.
         time: time at which time-varying sources are evaluated.
-        solver: linear backend for the scalar system (see
-            :func:`repro.circuit.backend.scalar_backend`).
 
     Raises:
         ConvergenceError: when every strategy fails.
     """
     compiled = circuit.compile()
-    system = MNASystem(compiled, solver=solver)
+    system = MNASystem(compiled)
     if x0 is None or len(x0) != compiled.size:
         x0 = np.zeros(compiled.size)
 
@@ -156,7 +153,7 @@ def operating_point(circuit: Circuit, x0: Optional[np.ndarray] = None,
 
 
 def dc_sweep(circuit: Circuit, source_name: str, values,
-             gmin: float = 1e-12, solver: str = "auto"):
+             gmin: float = 1e-12):
     """Sweep the value of a voltage/current source and solve at each point.
 
     Returns:
@@ -170,8 +167,7 @@ def dc_sweep(circuit: Circuit, source_name: str, values,
     try:
         for v in values:
             source.value = float(v)
-            res = operating_point(circuit, x0=x_prev, gmin=gmin,
-                                  solver=solver)
+            res = operating_point(circuit, x0=x_prev, gmin=gmin)
             results.append(res)
             x_prev = res.x
     finally:

@@ -74,16 +74,10 @@ class Element:
     # structurally identical circuits in lockstep.  ``batch_slot`` is
     # called once per element position with the B per-lane sibling
     # elements and precomputes index tuples and per-lane parameter
-    # arrays; ``stamp_batch`` is then called every Newton iteration with
-    # the batched system, the (B, n) iterate and that slot.  Each
-    # ``stamp_batch`` MUST perform per lane exactly the floating-point
-    # operations of ``stamp`` in the same order — that is what makes
-    # batched results bit-identical to the scalar path.
+    # arrays; the kernel's compiled contribution program then replays
+    # ``stamp`` per lane from those slots, bit for bit.
 
     def batch_slot(self, system, lanes) -> dict:
-        raise BatchUnsupported(type(self).__name__)
-
-    def stamp_batch(self, system, X, ctx, slot) -> None:
         raise BatchUnsupported(type(self).__name__)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -118,10 +112,6 @@ class Resistor(Element):
         i, j = system.indices(self.nodes)
         return {"ij": (i, j),
                 "g": np.array([1.0 / lane.resistance for lane in lanes])}
-
-    def stamp_batch(self, system, X, ctx, slot) -> None:
-        i, j = slot["ij"]
-        system.add_conductance(i, j, slot["g"])
 
 
 class Capacitor(Element):
@@ -171,25 +161,6 @@ class Capacitor(Element):
         i, j = system.indices(self.nodes)
         return {"ij": (i, j),
                 "c": np.array([lane.capacitance for lane in lanes])}
-
-    def stamp_batch(self, system, X, ctx, slot) -> None:
-        c = slot["c"]
-        if ctx.mode != "tran" or ctx.dt is None or not c.any():
-            return
-        # Lanes with zero capacitance add exact zeros, matching the
-        # scalar path's skip bit for bit (0.0 + ±0.0 == 0.0).
-        i, j = slot["ij"]
-        geq = c / ctx.dt
-        v_prev = system.voltage(ctx.x_prev, i, j)
-        if ctx.method == "trap":
-            geq = geq * 2.0
-            i_prev = ctx.cap_currents.get(self.name, 0.0)
-            ieq = geq * v_prev + i_prev
-        else:
-            ieq = geq * v_prev
-        system.add_conductance(i, j, geq)
-        system.add_current(i, ieq)
-        system.add_current(j, -ieq)
 
     def charge_current_batch(self, system, X_new, X_prev, ctx, slot):
         """Per-lane capacitor currents at the accepted timepoint."""
@@ -245,15 +216,6 @@ class VoltageSource(Element):
         return {"pn": (p, n), "br": system.branch(self.name),
                 "values": _batch_values(lanes)}
 
-    def stamp_batch(self, system, X, ctx, slot) -> None:
-        p, n = slot["pn"]
-        br = slot["br"]
-        system.add_entry(p, br, 1.0)
-        system.add_entry(n, br, -1.0)
-        system.add_entry(br, p, 1.0)
-        system.add_entry(br, n, -1.0)
-        system.add_rhs(br, slot["values"](ctx.time) * ctx.source_scale)
-
 
 class CurrentSource(Element):
     """Independent current source flowing from *pos* to *neg* externally.
@@ -287,12 +249,6 @@ class CurrentSource(Element):
         p, n = system.indices(self.nodes)
         return {"pn": (p, n), "values": _batch_values(lanes)}
 
-    def stamp_batch(self, system, X, ctx, slot) -> None:
-        p, n = slot["pn"]
-        i = slot["values"](ctx.time) * ctx.source_scale
-        system.add_current(p, -i)
-        system.add_current(n, i)
-
 
 class VCCS(Element):
     """Voltage-controlled current source: ``i(out) = gm * v(cp, cn)``."""
@@ -313,10 +269,6 @@ class VCCS(Element):
     def batch_slot(self, system, lanes) -> dict:
         return {"idx": tuple(system.indices(self.nodes)),
                 "gm": np.array([lane.gm for lane in lanes])}
-
-    def stamp_batch(self, system, X, ctx, slot) -> None:
-        p, n, cp, cn = slot["idx"]
-        system.add_transconductance(p, n, cp, cn, slot["gm"])
 
 
 class VCVS(Element):
@@ -345,17 +297,6 @@ class VCVS(Element):
         return {"idx": tuple(system.indices(self.nodes)),
                 "br": system.branch(self.name),
                 "gain": np.array([lane.gain for lane in lanes])}
-
-    def stamp_batch(self, system, X, ctx, slot) -> None:
-        p, n, cp, cn = slot["idx"]
-        br = slot["br"]
-        gain = slot["gain"]
-        system.add_entry(p, br, 1.0)
-        system.add_entry(n, br, -1.0)
-        system.add_entry(br, p, 1.0)
-        system.add_entry(br, n, -1.0)
-        system.add_entry(br, cp, -gain)
-        system.add_entry(br, cn, gain)
 
 
 class Switch(Element):
@@ -396,16 +337,6 @@ class Switch(Element):
     def batch_slot(self, system, lanes) -> dict:
         return {"idx": tuple(system.indices(self.nodes)),
                 "lanes": list(lanes)}
-
-    def stamp_batch(self, system, X, ctx, slot) -> None:
-        # The logistic uses math.exp, whose libm result is not
-        # guaranteed bit-identical to numpy's vectorised exp — so each
-        # lane evaluates through its own scalar conductance().
-        i, j, c = slot["idx"]
-        v_ctrl = system.voltage(X, c, -1)
-        g = np.array([lane.conductance(float(v_ctrl[k]))
-                      for k, lane in enumerate(slot["lanes"])])
-        system.add_conductance(i, j, g)
 
 
 class Diode(Element):
@@ -450,17 +381,3 @@ class Diode(Element):
     def batch_slot(self, system, lanes) -> dict:
         a, c = system.indices(self.nodes)
         return {"ac": (a, c), "lanes": list(lanes)}
-
-    def stamp_batch(self, system, X, ctx, slot) -> None:
-        # Exponential via each lane's scalar _iv (math.exp) for bit
-        # parity with the scalar stamp; see Switch.stamp_batch.
-        a, c = slot["ac"]
-        vd = system.voltage(X, a, c)
-        lanes = slot["lanes"]
-        iv = [lane._iv(float(vd[k])) for k, lane in enumerate(lanes)]
-        i = np.array([pair[0] for pair in iv])
-        g = np.array([pair[1] for pair in iv])
-        ieq = i - g * vd
-        system.add_conductance(a, c, g)
-        system.add_current(a, -ieq)
-        system.add_current(c, ieq)

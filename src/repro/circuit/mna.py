@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .backend import phase_timer, scalar_backend
+from .backend import phase_timer
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -62,8 +62,7 @@ class MNASystem:
     across Newton iterations via :meth:`reset`.
     """
 
-    def __init__(self, compiled, dtype=float,
-                 solver: str = "auto") -> None:
+    def __init__(self, compiled, dtype=float) -> None:
         self.compiled = compiled
         self.n = compiled.size
         self.dtype = dtype
@@ -73,7 +72,6 @@ class MNASystem:
             self.C = np.zeros((self.n, self.n), dtype=float)
         else:
             self.C = None
-        self.backend = scalar_backend(solver)
 
     # -- index helpers -----------------------------------------------------
 
@@ -170,14 +168,15 @@ class MNASystem:
         self.G += 1j * omega * self.C
 
     def solve(self) -> np.ndarray:
-        """Solve ``G x = b`` through the configured backend.
+        """Solve ``G x = b`` with one dense LAPACK ``numpy.linalg.solve``.
 
         Raises :class:`SingularSystemError` (a
         ``numpy.linalg.LinAlgError``) on singular systems, annotated
         with the node/branch names whose matrix rows vanished.
         """
         try:
-            return self.backend.solve(self.G, self.b)
+            with phase_timer("solve"):
+                return np.linalg.solve(self.G, self.b)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 self._describe_singular()) from exc

@@ -255,7 +255,7 @@ class Mosfet(Element):
         system.add_susceptance(ng, ns, cgs)
         system.add_susceptance(ng, nd, cgd)
 
-    # -- batched stamps -----------------------------------------------------
+    # -- batched kernel -----------------------------------------------------
 
     def batch_slot(self, system, lanes) -> dict:
         if any(lane.polarity != self.polarity for lane in lanes):
@@ -279,60 +279,6 @@ class Mosfet(Element):
             "cgs": np.array([c[0] for c in caps]),
             "cgd": np.array([c[1] for c in caps]),
         }
-
-    def stamp_batch(self, system, X, ctx, slot) -> None:
-        nd, ng, ns, nb = slot["idx"]
-        vd = system.voltage(X, nd, -1)
-        vg = system.voltage(X, ng, -1)
-        vs = system.voltage(X, ns, -1)
-        vb = system.voltage(X, nb, -1)
-
-        sign = slot["sign"]
-        swapped = sign * (vd - vs) < 0.0
-        vdx = np.where(swapped, vs, vd)
-        vsx = np.where(swapped, vd, vs)
-        vgs = sign * (vg - vsx)
-        vds = sign * (vdx - vsx)
-        vbs = sign * (vb - vsx)
-        i, gm, gds, gmb = _ids_batch(slot, vgs, vds, vbs)
-        ieq = i - gm * vgs - gds * vds - gmb * vbs
-        ieq_ext = sign * ieq
-
-        # The source/drain swap changes which matrix indices a lane
-        # writes to, so lanes split into (at most) two masked groups.
-        # Within each lane the add order is exactly the scalar stamp's.
-        for flag, group in ((False, ~swapped), (True, swapped)):
-            if not group.any():
-                continue
-            mask = None if group.all() else group
-            d_idx, s_idx = (ns, nd) if flag else (nd, ns)
-            system.add_transconductance(d_idx, s_idx, ng, s_idx, gm,
-                                        mask=mask)
-            system.add_conductance(d_idx, s_idx, gds, mask=mask)
-            system.add_transconductance(d_idx, s_idx, nb, s_idx, gmb,
-                                        mask=mask)
-            system.add_current(d_idx, -ieq_ext, mask=mask)
-            system.add_current(s_idx, ieq_ext, mask=mask)
-
-        if ctx.gmin > 0.0:
-            system.add_conductance(nd, -1, ctx.gmin)
-            system.add_conductance(ns, -1, ctx.gmin)
-
-        if ctx.mode == "tran" and ctx.dt is not None:
-            for (a, b, c) in ((ng, ns, slot["cgs"]), (ng, nd, slot["cgd"])):
-                geq = c / ctx.dt
-                v_prev = system.voltage(ctx.x_prev, a, b)
-                ieq_cap = geq * v_prev
-                system.add_conductance(a, b, geq)
-                system.add_current(a, ieq_cap)
-                system.add_current(b, -ieq_cap)
-
-
-def _ids_batch(slot, vgs, vds, vbs):
-    """Vectorised :meth:`Mosfet.ids` over lanes (see :func:`_ids_arrays`)."""
-    return _ids_arrays(slot["beta"], slot["vto"], slot["lam"],
-                       slot["gamma"], slot["phi"], slot["sqrt_phi"],
-                       vgs, vds, vbs)
 
 
 def _ids_arrays(beta, vto, lam, gamma, phi, sqrt_phi, vgs, vds, vbs):

@@ -70,8 +70,7 @@ def transient(circuit: Circuit, tstop: float, dt: float,
               record_every: int = 1,
               fine_windows: Optional[Sequence] = None,
               x0_guess: Optional[np.ndarray] = None,
-              guide: Optional[tuple] = None,
-              solver: str = "auto") -> TransientResult:
+              guide: Optional[tuple] = None) -> TransientResult:
     """Run a transient analysis from a DC operating point at t=0.
 
     Args:
@@ -100,9 +99,6 @@ def transient(circuit: Circuit, tstop: float, dt: float,
             previous solution plus the guide's known step increment; the
             retry stage still restarts from the previous solution, so a
             lane that drifts off the guide converges exactly as before.
-        solver: linear backend for the scalar system (see
-            :func:`repro.circuit.backend.scalar_backend`); the t=0
-            operating point uses the same backend.
 
     Raises:
         ConvergenceError: if a timepoint fails to converge even after
@@ -118,10 +114,9 @@ def transient(circuit: Circuit, tstop: float, dt: float,
             raise ValueError(f"malformed fine window ({t0}, {t1}, {dtf})")
 
     compiled = circuit.compile()
-    system = MNASystem(compiled, solver=solver)
+    system = MNASystem(compiled)
     if x0 is None:
-        op = operating_point(circuit, x0=x0_guess, time=0.0,
-                             solver=solver)
+        op = operating_point(circuit, x0=x0_guess, time=0.0)
         x = op.x
     else:
         x = np.asarray(x0, dtype=float).copy()

@@ -61,10 +61,10 @@ def add_engine_arguments(parser: argparse.ArgumentParser):
                             "reference)")
     group.add_argument("--solver", choices=SOLVERS,
                        default=_ENGINE_DEFAULTS["solver"],
-                       help="linear-solve backend: auto/dense/"
-                            "dense-batched are bit-identical; sparse "
-                            "factorises through SuperLU (needs scipy) "
-                            "and scales to full-chip systems "
+                       help="linear-solve backend: auto and dense "
+                            "are the same stacked LAPACK kernel; "
+                            "sparse factorises through SuperLU (needs "
+                            "scipy) and scales to full-chip systems "
                             "(default: %(default)s)")
     return group
 

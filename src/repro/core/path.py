@@ -67,8 +67,9 @@ class PathConfig:
             disables).
         solver: linear backend for the analog solves
             (:data:`repro.circuit.backend.SOLVERS`; ``--solver``).
-            The dense family is bit-identical; ``sparse`` agrees
-            within Newton tolerance and scales to full-chip systems.
+            ``auto`` and ``dense`` name the same bit-identical dense
+            kernel; ``sparse`` agrees within Newton tolerance and
+            scales to full-chip systems.
     """
 
     n_defects: int = 25000

@@ -4,7 +4,7 @@ The paper's closing observation — "the overlap between different
 detection mechanisms gives room for the optimization of the test
 method" — cuts both ways: dropping measurements saves tester seconds
 but merges fault classes into ambiguity groups.  This module
-quantifies that trade so :func:`repro.testgen.optimize.optimize_test_plan`
+quantifies that trade so :func:`repro.optimize.greedy_test_plan`
 can weigh diagnostic power against cost:
 
 * :func:`feature_mask` — which signature features a test plan's
@@ -28,7 +28,8 @@ from .dictionary import FaultDictionary
 
 #: the test-plan pseudo-measurement for the whole missing-code test
 #: (mirrors repro.testgen.optimize.MISSING_CODE without importing it —
-#: testgen imports this module lazily, keeping the layering acyclic)
+#: repro.optimize imports this module lazily, keeping the layering
+#: acyclic)
 _MISSING_CODE = ("missing_codes", "*", "*")
 
 Measure = Tuple[str, str, str]

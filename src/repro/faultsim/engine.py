@@ -19,7 +19,6 @@ run (see ``docs/ENGINE.md``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Optional, Sequence, TYPE_CHECKING,
                     Tuple)
@@ -61,9 +60,6 @@ class EngineConfig:
             reduced corner set).
         dynamic_test: run the at-speed missing-code test during
             propagation (consumed by :meth:`simulate_class`).
-        batch: solve structurally identical runs through the batched
-            kernel (False forces every run scalar; results are
-            bit-identical either way).
         warm_start: seed faulty Newton solves from the good-circuit
             baseline trajectory (the full gmin/source stepping ladder
             stays as fallback).  Detection records are identical either
@@ -75,8 +71,9 @@ class EngineConfig:
             ones :func:`~repro.faultsim.signatures.classify_voltage`
             never consults; False forces the exhaustive schedule.
         solver: linear backend for the kernel (see
-            :data:`~repro.circuit.backend.SOLVERS`).  ``auto`` keeps
-            the bit-identical dense path; ``sparse`` trades bit
+            :data:`~repro.circuit.backend.SOLVERS`).  ``auto`` and
+            ``dense`` name the same stacked LAPACK kernel, bit-identical
+            to the scalar reference path; ``sparse`` trades bit
             identity for full-chip-scale wall-clock (results agree
             within Newton tolerance, with per-lane dense fallback).
     """
@@ -90,7 +87,6 @@ class EngineConfig:
     process: Process = field(default_factory=typical)
     corners: Optional[Tuple[Process, ...]] = None
     dynamic_test: bool = False
-    batch: bool = True
     warm_start: bool = True
     drop: bool = True
     solver: str = "auto"
@@ -199,7 +195,6 @@ class ComparatorFaultEngine:
         outcomes = transient_lanes(circuits, tstop=self.config.period,
                                    dt=self.config.dt,
                                    fine_windows=windows,
-                                   batch=self.config.batch,
                                    guides=guides,
                                    solver=self.config.solver)
         self.runs_simulated += len(runs)
@@ -506,18 +501,6 @@ class ComparatorFaultEngine:
             fault_type=fault_class.fault_type,
             violated_keys=res.signature.violated_keys,
             detected_by=detected_by)
-
-    def simulate_class_legacy(self, fault_class: FaultClass
-                              ) -> FaultClassResult:
-        """Deprecated pre-protocol name for
-        :meth:`simulate_class_signature` (``simulate_class`` used to
-        return a :class:`FaultClassResult`)."""
-        warnings.warn(
-            "simulate_class_legacy() is deprecated; use "
-            "simulate_class() for a DetectionRecord or "
-            "simulate_class_signature() for the full FaultClassResult",
-            DeprecationWarning, stacklevel=2)
-        return self.simulate_class_signature(fault_class)
 
     def run(self, classes: Sequence[FaultClass],
             progress: Optional[Callable[[int, int], None]] = None

@@ -125,8 +125,6 @@ class LadderFaultEngine:
     ivdd_window_halfwidth: float = 20e-3
     #: resolution of the terminal-difference current measurement
     iref_diff_floor: float = 200e-6
-    #: solve structurally identical circuits through the batched kernel
-    batch: bool = True
     warm_start: bool = True
     drop: bool = True
     #: linear backend for the batched solves (see
@@ -165,8 +163,7 @@ class LadderFaultEngine:
         if warm and self.warm_start and self._guide is not None:
             guesses = [align_x0(c.compile(), self._guide)
                        for c in circuits]
-        return operating_point_lanes(circuits, batch=self.batch,
-                                     x0_guesses=guesses,
+        return operating_point_lanes(circuits, x0_guesses=guesses,
                                      solver=self.solver)
 
     def _solve_many(self, circuits, warm: bool = False):
@@ -345,8 +342,6 @@ class ClockgenFaultEngine:
     dt: float = 1e-9
     period: float = CLOCK_PERIOD
     iddq_floor: float = FLOOR_IDDQ
-    #: solve structurally identical circuits through the batched kernel
-    batch: bool = True
     warm_start: bool = True
     drop: bool = True
     #: linear backend for the batched solves (see
@@ -375,8 +370,8 @@ class ClockgenFaultEngine:
             guides = [align_guide(c.compile(), self._guide)
                       for c in circuits]
         return transient_lanes(circuits, tstop=self.period,
-                               dt=self.dt, batch=self.batch,
-                               guides=guides, solver=self.solver)
+                               dt=self.dt, guides=guides,
+                               solver=self.solver)
 
     def _run_many(self, circuits, warm: bool = False):
         """Transients for several circuits, batching identical
@@ -518,8 +513,6 @@ class BiasgenFaultEngine:
     ivdd_window_halfwidth: float = 20e-3
     #: bias shifts below this provably change nothing measurable
     dead_band: float = 0.02
-    #: solve structurally identical circuits through the batched kernel
-    batch: bool = True
     #: seed faulty solves from the good bias point / comparator runs
     warm_start: bool = True
     #: skip the comparator-bank re-run for dead-band bias shifts
@@ -539,8 +532,7 @@ class BiasgenFaultEngine:
         guesses = None
         if warm and self.warm_start and self._bias_guide is not None:
             guesses = [align_x0(circuit.compile(), self._bias_guide)]
-        out = operating_point_lanes([circuit], batch=self.batch,
-                                    x0_guesses=guesses,
+        out = operating_point_lanes([circuit], x0_guesses=guesses,
                                     solver=self.solver)[0]
         if isinstance(out, ConvergenceError):
             raise out
@@ -571,7 +563,7 @@ class BiasgenFaultEngine:
         return transient_lanes(
             circuits, tstop=self.period, dt=self.dt,
             fine_windows=regeneration_windows(self.period, 1),
-            batch=self.batch, guides=guides, solver=self.solver)
+            guides=guides, solver=self.solver)
 
     def _extract_comparator(self, tr: TransientResult) -> dict:
         times = phase_measure_times(self.period, 0)
@@ -605,7 +597,6 @@ class BiasgenFaultEngine:
                 guesses = [align_x0(bias_circuit.compile(),
                                     self._bias_guide)]
             out = operating_point_lanes([bias_circuit],
-                                        batch=self.batch,
                                         x0_guesses=guesses,
                                         solver=self.solver)[0]
             if isinstance(out, ConvergenceError):

@@ -1,9 +1,8 @@
 """Generation 0: the fixed menu becomes the seed population.
 
-The greedy weighted set cover that used to *be* the optimizer
-(``repro.testgen.optimize.optimize_test_plan``, paper section 3.2)
-now seeds it: generation 0 contains the greedy coverage plan, the
-advisor's recommended-DfT variants
+The greedy weighted set cover that used to *be* the optimizer (paper
+section 3.2) now seeds it: generation 0 contains the greedy coverage
+plan, the advisor's recommended-DfT variants
 (:func:`repro.core.advisor.recommended_gene_flags` turned into
 campaign genes), the full menu and the bare missing-code test, topped
 up with seeded mutations of those.  The search can only improve on
@@ -11,9 +10,8 @@ the fixed menu from there — which is exactly the dominance property
 ``bench_optimize.py`` gates.
 
 :func:`greedy_test_plan` preserves the legacy algorithm bit-for-bit
-(same tie-breaks, same stopping rules); the deprecation shim in
-``repro.testgen.optimize`` delegates here, and
-``tests/testgen/test_optimize_shim.py`` pins the equivalence.
+(same tie-breaks, same stopping rules); ``tests/testgen/test_optimize.py``
+pins its selections.
 """
 
 from __future__ import annotations

@@ -1,26 +1,21 @@
-"""Test-plan optimization (paper section 3.2, closing remark).
+"""Test-plan vocabulary (paper section 3.2, closing remark).
 
 "The overlap between different detection mechanisms gives room for the
 optimization of the test method and fault detection."
 
-This module now owns only the measurement *vocabulary* — the candidate
+This module owns only the measurement *vocabulary* — the candidate
 set, the :class:`TestPlan` result type and the tester-time cost model.
 The selection logic lives in :mod:`repro.optimize`: the greedy
-weighted set cover moved to
-:func:`repro.optimize.seeding.greedy_test_plan`, where it seeds
-generation 0 of the evolutionary search
-(``python -m repro optimize``).  :func:`optimize_test_plan` remains as
-a deprecated shim delegating there — same signature, same return
-type, bit-identical plans.
+weighted set cover is :func:`repro.optimize.seeding.greedy_test_plan`,
+where it seeds generation 0 of the evolutionary search
+(``python -m repro optimize``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Optional, Tuple
 
-from ..macrotest.coverage import DetectionRecord, MacroResult
 from .stimuli import (CURRENT_MEASUREMENT_SETTLE, MissingCodeStimulus)
 
 #: pseudo-measurement representing the whole missing-code test
@@ -72,41 +67,6 @@ def measurement_cost(measure: Measure) -> float:
     if measure == MISSING_CODE:
         return MissingCodeStimulus().test_time()
     return CURRENT_MEASUREMENT_SETTLE
-
-
-def _detections(record: DetectionRecord) -> Set[Measure]:
-    out: Set[Measure] = set(record.violated_keys)
-    if record.voltage_detected:
-        out.add(MISSING_CODE)
-    return out
-
-
-def optimize_test_plan(result: MacroResult,
-                       min_coverage: Optional[float] = None,
-                       dictionary=None,
-                       resolution_weight: float = 0.0,
-                       rng=None) -> TestPlan:
-    """Deprecated: use :mod:`repro.optimize`.
-
-    Delegates to :func:`repro.optimize.seeding.greedy_test_plan` —
-    the identical greedy weighted set cover, now the generation-0
-    seed of the evolutionary search.  Same signature (plus the
-    optional explicit ``rng`` every plan producer now accepts), same
-    :class:`TestPlan` return, bit-identical selections.
-    """
-    warnings.warn(
-        "optimize_test_plan() moved to repro.optimize: call "
-        "repro.optimize.greedy_test_plan() for the fixed-menu plan, "
-        "or run the evolutionary search (python -m repro optimize) "
-        "for Pareto-optimal plans",
-        DeprecationWarning, stacklevel=2)
-    # lazy import: repro.optimize re-exports this module's types, so
-    # a module-level import here would be circular
-    from ..optimize.seeding import greedy_test_plan
-    return greedy_test_plan(result, min_coverage=min_coverage,
-                            dictionary=dictionary,
-                            resolution_weight=resolution_weight,
-                            rng=rng)
 
 
 def full_plan_cost() -> float:

@@ -10,8 +10,8 @@ asserts record equality; the digital decoder engine rounds out the
 five macros (it performs no linear solves, which the sweep documents
 structurally).
 
-Also covers the solver knob's store-keying contract: the bit-identical
-dense family shares content keys, sparse keys separately.
+Also covers the solver knob's store-keying contract: ``auto`` and
+``dense`` share content keys, sparse keys separately.
 """
 
 import dataclasses
@@ -74,12 +74,12 @@ class TestSolverStoreKeys:
         return FaultClass(representative=fault, count=2)
 
     def test_dense_family_shares_keys(self):
-        """auto/dense/dense-batched are bit-identical — a cached
-        record from any of them is valid for all of them."""
+        """auto and dense name the same kernel — a cached record from
+        either is valid for both."""
         fc = self._class()
         keys = {content_key(fc, EngineSpec(macro="comparator",
                                            solver=solver))
-                for solver in ("auto", "dense", "dense-batched")}
+                for solver in ("auto", "dense")}
         assert len(keys) == 1
 
     def test_sparse_keys_separately(self):

@@ -16,7 +16,7 @@ from repro.circuit import backend
 from repro.circuit.backend import (HAVE_SPARSE, SOLVERS, SparsePattern,
                                    resolve_solver)
 from repro.circuit.batch import (SparseBatchedMNASystem, _BatchProgram,
-                                 transient_batch)
+                                 transient_batch, transient_lanes)
 from repro.circuit.elements import Resistor, VoltageSource
 from repro.circuit.mosfet import Mosfet
 from repro.circuit.netlist import Circuit
@@ -27,12 +27,11 @@ needs_scipy = pytest.mark.skipif(not HAVE_SPARSE,
 
 
 class TestResolveSolver:
-    def test_auto_is_dense_batched(self):
-        assert resolve_solver("auto") == "dense-batched"
+    def test_auto_is_dense(self):
+        assert resolve_solver("auto") == "dense"
 
     def test_identity_for_dense_family(self):
         assert resolve_solver("dense") == "dense"
-        assert resolve_solver("dense-batched") == "dense-batched"
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError, match="unknown solver"):
@@ -48,7 +47,7 @@ class TestResolveSolver:
 
     def test_sparse_degrades_without_scipy(self, monkeypatch):
         monkeypatch.setattr(backend, "HAVE_SPARSE", False)
-        assert resolve_solver("sparse") == "dense-batched"
+        assert resolve_solver("sparse") == "dense"
 
 
 def _inverter_pair() -> Circuit:
@@ -179,11 +178,24 @@ class TestPhaseTimers:
     def test_record_matrix_keeps_largest(self):
         backend.reset_matrix()
         backend.record_matrix("sparse", 100, 500, 4)
-        backend.record_matrix("dense-batched", 10, 100, 1)
+        backend.record_matrix("dense", 10, 100, 1)
         info = backend.snapshot_matrix()
         assert info["n"] == 100 and info["backend"] == "sparse"
         backend.reset_matrix()
         assert backend.snapshot_matrix() == {}
+
+    def test_dense_record_survives_reset(self):
+        """Every dense lane group records its matrix, not only the
+        first call that allocates a system of that shape."""
+        lanes = [_inverter_pair(), _inverter_pair()]
+        for _ in range(2):
+            backend.reset_matrix()
+            transient_lanes(lanes, tstop=2e-9, dt=1e-9)
+            info = backend.snapshot_matrix()
+            assert info["backend"] == "dense"
+            assert info["n"] == lanes[0].compile().size
+            assert info["nlanes"] == 2
+        backend.reset_matrix()
 
     def test_solve_records_phases(self):
         backend.reset_timings()

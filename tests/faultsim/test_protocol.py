@@ -55,9 +55,3 @@ class TestComparatorContract:
         res = engine.simulate_class_signature(fc)
         assert record.voltage_signature == res.signature.voltage
         assert record.mechanisms == res.signature.mechanisms
-
-    def test_legacy_shim_warns(self, engine):
-        fc = short_class("lp", "ln")
-        with pytest.warns(DeprecationWarning):
-            legacy = engine.simulate_class_legacy(fc)
-        assert legacy == engine.simulate_class_signature(fc)

@@ -1,11 +1,14 @@
-"""Tests for the test-plan optimizer."""
+"""Tests for the greedy test-plan optimizer and its cost vocabulary."""
 
 import pytest
 
+import numpy as np
+
 from repro.faultsim import CurrentMechanism
 from repro.macrotest import DetectionRecord, MacroResult
-from repro.testgen.optimize import (MISSING_CODE, TestPlan, full_plan_cost,
-                                    measurement_cost, optimize_test_plan)
+from repro.optimize import greedy_test_plan
+from repro.testgen.optimize import (MISSING_CODE, full_plan_cost,
+                                    measurement_cost)
 
 IVDD_S = ("ivdd", "sampling", "above")
 IDDQ_S = ("iddq", "sampling", "above")
@@ -30,24 +33,24 @@ def macro(records):
 class TestOptimize:
     def test_single_measurement_suffices(self):
         m = macro([rec(10, keys=[IVDD_S]), rec(5, keys=[IVDD_S])])
-        plan = optimize_test_plan(m)
+        plan = greedy_test_plan(m)
         assert plan.measurements == (IVDD_S,)
         assert plan.coverage == pytest.approx(1.0)
 
     def test_overlap_collapses_to_one(self):
         """Two mechanisms covering the same faults: pick only one."""
         m = macro([rec(10, keys=[IVDD_S, IDDQ_S])])
-        plan = optimize_test_plan(m)
+        plan = greedy_test_plan(m)
         assert len(plan.measurements) == 1
 
     def test_complementary_measurements_both_chosen(self):
         m = macro([rec(10, keys=[IVDD_S]), rec(10, keys=[IDDQ_L])])
-        plan = optimize_test_plan(m)
+        plan = greedy_test_plan(m)
         assert set(plan.measurements) == {IVDD_S, IDDQ_L}
 
     def test_missing_code_included_when_needed(self):
         m = macro([rec(10, voltage=True), rec(5, keys=[IDDQ_S])])
-        plan = optimize_test_plan(m)
+        plan = greedy_test_plan(m)
         assert MISSING_CODE in plan.measurements
         assert plan.coverage == pytest.approx(1.0)
 
@@ -55,34 +58,42 @@ class TestOptimize:
         """A fault caught by both: the cheaper current measurement wins
         (100 us vs the 150 us missing-code test)."""
         m = macro([rec(10, voltage=True, keys=[IDDQ_S])])
-        plan = optimize_test_plan(m)
+        plan = greedy_test_plan(m)
         assert plan.measurements == (IDDQ_S,)
 
     def test_undetectable_faults_bound_achievable(self):
         m = macro([rec(8, keys=[IVDD_S]), rec(2)])
-        plan = optimize_test_plan(m)
+        plan = greedy_test_plan(m)
         assert plan.achievable == pytest.approx(0.8)
         assert plan.coverage == pytest.approx(0.8)
 
     def test_min_coverage_stops_early(self):
         m = macro([rec(90, keys=[IVDD_S]), rec(10, keys=[IDDQ_L])])
-        plan = optimize_test_plan(m, min_coverage=0.9)
+        plan = greedy_test_plan(m, min_coverage=0.9)
         assert plan.measurements == (IVDD_S,)
 
     def test_empty_macro_rejected(self):
         with pytest.raises(ValueError):
-            optimize_test_plan(macro([]))
+            greedy_test_plan(macro([]))
 
     def test_plan_is_cheaper_than_naive(self):
         m = macro([rec(10, voltage=True, keys=[IVDD_S, IDDQ_S])])
-        plan = optimize_test_plan(m)
+        plan = greedy_test_plan(m)
         assert plan.cost < full_plan_cost()
 
     def test_describe(self):
         m = macro([rec(10, voltage=True), rec(5, keys=[IDDQ_S])])
-        text = optimize_test_plan(m).describe()
+        text = greedy_test_plan(m).describe()
         assert "missing-code test" in text
         assert "coverage" in text
+
+    def test_explicit_rng_accepted(self):
+        """Every plan producer takes an explicit numpy Generator (the
+        greedy is deterministic, so it changes nothing)."""
+        m = macro([rec(10, keys=[IVDD_S])])
+        a = greedy_test_plan(m)
+        b = greedy_test_plan(m, rng=np.random.default_rng(5))
+        assert a == b
 
 
 class TestResolutionAware:
@@ -95,16 +106,16 @@ class TestResolutionAware:
 
     def test_no_dictionary_keeps_plan_unannotated(self):
         m = macro([rec(10, keys=[IVDD_S])])
-        assert optimize_test_plan(m).resolution is None
+        assert greedy_test_plan(m).resolution is None
 
     def test_zero_weight_reproduces_coverage_plan(self):
         records = [rec(10, voltage=True, keys=[IVDD_S]),
                    rec(5, voltage=True, keys=[IDDQ_L])]
         m = macro(records)
-        base = optimize_test_plan(m)
-        annotated = optimize_test_plan(m,
-                                       dictionary=self._dictionary(
-                                           records))
+        base = greedy_test_plan(m)
+        annotated = greedy_test_plan(m,
+                                     dictionary=self._dictionary(
+                                         records))
         assert annotated.measurements == base.measurements
         assert annotated.resolution is not None
 
@@ -115,17 +126,17 @@ class TestResolutionAware:
                    rec(10, voltage=True, keys=[IDDQ_L])]
         m = macro(records)
         d = self._dictionary(records)
-        base = optimize_test_plan(m, dictionary=d)
-        aware = optimize_test_plan(m, dictionary=d,
-                                   resolution_weight=1000.0)
+        base = greedy_test_plan(m, dictionary=d)
+        aware = greedy_test_plan(m, dictionary=d,
+                                 resolution_weight=1000.0)
         assert aware.resolution > base.resolution
         assert len(aware.measurements) >= len(base.measurements)
         assert aware.coverage >= base.coverage
 
     def test_describe_reports_resolution(self):
         records = [rec(10, keys=[IVDD_S])]
-        plan = optimize_test_plan(macro(records),
-                                  dictionary=self._dictionary(records))
+        plan = greedy_test_plan(macro(records),
+                                dictionary=self._dictionary(records))
         assert "diagnostic resolution" in plan.describe()
 
 
@@ -148,48 +159,8 @@ class TestOnRealEngine:
         result = DefectOrientedTestPath(config).run(
             macros=["comparator"])
         comparator = result.macros["comparator"].result
-        plan = optimize_test_plan(comparator)
+        plan = greedy_test_plan(comparator)
         breakdown = macro_breakdown(comparator)
         assert plan.coverage == pytest.approx(breakdown.total, abs=1e-9)
         assert plan.cost < full_plan_cost()
         assert 1 <= len(plan.measurements) <= 25
-
-class TestDeprecationShim:
-    """optimize_test_plan() now delegates to the evolutionary
-    package's generation-0 greedy — same signature, same plans."""
-
-    def test_emits_deprecation_warning(self):
-        m = macro([rec(10, keys=[IVDD_S])])
-        with pytest.warns(DeprecationWarning,
-                          match="repro.optimize"):
-            optimize_test_plan(m)
-
-    def test_plan_identical_to_greedy(self):
-        import warnings
-
-        from repro.optimize import greedy_test_plan
-
-        m = macro([rec(10, voltage=True, keys=[IVDD_S]),
-                   rec(7, keys=[IDDQ_S]),
-                   rec(3, keys=[IDDQ_L]),
-                   rec(2)])
-        direct = greedy_test_plan(m, min_coverage=0.9)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = optimize_test_plan(m, min_coverage=0.9)
-        assert isinstance(shimmed, TestPlan)
-        assert shimmed == direct
-
-    def test_explicit_rng_accepted(self):
-        """Every plan producer takes an explicit numpy Generator (the
-        greedy is deterministic, so it changes nothing)."""
-        import warnings
-
-        import numpy as np
-
-        m = macro([rec(10, keys=[IVDD_S])])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            a = optimize_test_plan(m)
-            b = optimize_test_plan(m, rng=np.random.default_rng(5))
-        assert a == b
