@@ -43,7 +43,6 @@ import time
 from repro.campaign import (CampaignOptions, CampaignRunner,
                             clear_engine_cache)
 from repro.campaign.distributed import Coordinator
-from repro.circuit.batch import clear_kernel_cache
 from repro.core import PathConfig
 from repro.core.serialize import record_to_dict
 from repro.diagnosis import dictionary_for_campaign
@@ -113,7 +112,6 @@ def run_bench(n_defects=N_DEFECTS, max_classes=MAX_CLASSES,
         _seed_baselines(config, root / "single", root / "dist")
 
         clear_engine_cache()
-        clear_kernel_cache()
         started = time.perf_counter()
         single = CampaignRunner(
             config,
@@ -122,7 +120,6 @@ def run_bench(n_defects=N_DEFECTS, max_classes=MAX_CLASSES,
         single_wall = time.perf_counter() - started
 
         clear_engine_cache()
-        clear_kernel_cache()
         coordinator = Coordinator(
             config, CampaignOptions(jobs=1, cache_dir=root / "dist"),
             shard_size=SHARD_SIZE, lease=60.0)

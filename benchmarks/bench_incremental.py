@@ -31,7 +31,6 @@ import time
 
 from repro.campaign import EngineSpec, build_engine, clear_engine_cache
 from repro.campaign.plan import discover_classes
-from repro.circuit.batch import clear_kernel_cache
 from repro.core import PathConfig, add_engine_arguments, engine_knobs
 from repro.testgen import NO_DFT, comparator_layout_for
 
@@ -77,7 +76,6 @@ def run_bench(knobs=None, n_defects=N_DEFECTS,
 
     def campaign(spec, adopt):
         clear_engine_cache()
-        clear_kernel_cache()
         engine = build_engine(spec)
         if adopt:
             assert engine.adopt_baseline(baseline), \

@@ -1,14 +1,16 @@
-"""Batched-kernel benchmark: batched vs scalar transient wall time.
+"""Batched-kernel benchmark: one lane at a time vs one batch.
 
-The batched MNA kernel (:mod:`repro.circuit.batch`) promises two
-things: bit-identical results to the scalar solver and a wall-time win
-on real fault-simulation workloads.  This benchmark measures both on
-the workload the comparator engine actually runs — the fault-free
-testbench over the reduced corner set with the above/below input
-probes — and persists the numbers machine-readable to
+The MNA kernel (:mod:`repro.circuit.batch`) solves a group of
+structurally identical lanes as one stacked Newton iteration, and a
+lane's bytes must not depend on which lanes share its batch.  This
+benchmark measures both on the workload the comparator engine actually
+runs — the fault-free testbench over the reduced corner set with the
+above/below input probes — timing each lane as its own one-lane kernel
+run (``unbatched_wall``) against all lanes in one batch
+(``batched_wall``), and persists the numbers machine-readable to
 ``benchmarks/output/BENCH_kernel.json`` so the performance trajectory
-is tracked across PRs.  A speedup below :data:`MIN_SPEEDUP` fails the
-run.
+is tracked across PRs.  A ``batch_speedup`` below :data:`MIN_SPEEDUP`
+fails the run.
 
 Runs standalone (``python benchmarks/bench_kernel.py``, engine knobs
 on the command line) or under pytest with the other benchmarks.
@@ -25,15 +27,14 @@ import numpy as np
 from repro.adc.comparator import (CLOCK_PERIOD, build_testbench,
                                   regeneration_windows)
 from repro.adc.process import reduced_corners
-from repro.circuit.batch import clear_kernel_cache, transient_lanes
-from repro.circuit.dc import ConvergenceError
-from repro.circuit.transient import TransientResult, transient
+from repro.circuit.batch import transient_lanes
+from repro.circuit.transient import TransientResult
 from repro.core import add_engine_arguments, engine_knobs
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
-#: the acceptance floor: the batched kernel must at least halve the
-#: wall time of the scalar path on the comparator workload
+#: the acceptance floor: one batch must at least halve the wall time of
+#: the same lanes run one at a time on the comparator workload
 MIN_SPEEDUP = 2.0
 
 
@@ -48,10 +49,10 @@ def comparator_workload(corners=None, big_probe=0.1, vref=2.5):
     return circuits
 
 
-def _lanes_identical(scalar, batched) -> bool:
-    if len(scalar) != len(batched):
+def _lanes_identical(unbatched, batched) -> bool:
+    if len(unbatched) != len(batched):
         return False
-    for s, b in zip(scalar, batched):
+    for s, b in zip(unbatched, batched):
         if not (isinstance(s, TransientResult)
                 and isinstance(b, TransientResult)):
             return type(s) is type(b)
@@ -62,39 +63,33 @@ def _lanes_identical(scalar, batched) -> bool:
 
 
 def run_bench(dt=1e-9, big_probe=0.1, corners=None) -> dict:
-    """Time scalar vs batched lanes and verify bit-identity."""
+    """Time one-lane vs batched kernel runs and verify bit-identity."""
     circuits = comparator_workload(corners=corners,
                                    big_probe=big_probe)
     windows = regeneration_windows(CLOCK_PERIOD, 1)
 
-    def scalar_lane(circuit):
-        try:
-            return transient(circuit, tstop=CLOCK_PERIOD, dt=dt,
-                             fine_windows=windows)
-        except ConvergenceError as exc:
-            return exc
+    def lanes(group):
+        return transient_lanes(group, tstop=CLOCK_PERIOD, dt=dt,
+                               fine_windows=windows)
 
     def run(solve):
-        clear_kernel_cache()
         started = time.perf_counter()
-        lanes = solve()
-        return time.perf_counter() - started, lanes
+        results = solve()
+        return time.perf_counter() - started, results
 
-    scalar_wall, scalar = run(
-        lambda: [scalar_lane(c) for c in circuits])
-    batched_wall, batched = run(
-        lambda: transient_lanes(circuits, tstop=CLOCK_PERIOD, dt=dt,
-                                fine_windows=windows))
+    unbatched_wall, unbatched = run(
+        lambda: [lane for c in circuits for lane in lanes([c])])
+    batched_wall, batched = run(lambda: lanes(circuits))
     return {
         "workload": "comparator good-space "
                     f"({len(circuits)} lanes, dt={dt:g})",
         "lanes": len(circuits),
         "dt": dt,
-        "scalar_wall": scalar_wall,
+        "unbatched_wall": unbatched_wall,
         "batched_wall": batched_wall,
-        "speedup": scalar_wall / batched_wall,
+        "batch_speedup": unbatched_wall / batched_wall,
         "min_speedup": MIN_SPEEDUP,
-        "bit_identical": _lanes_identical(scalar, batched),
+        "bit_identical": _lanes_identical(unbatched, batched),
     }
 
 
@@ -105,14 +100,14 @@ def emit_kernel_json(payload: dict) -> None:
 
 
 def test_kernel_speedup():
-    """Batched kernel: bit-identical and >= MIN_SPEEDUP on the
-    comparator workload."""
+    """Batched kernel: bit-identical to one-lane runs and >=
+    MIN_SPEEDUP on the comparator workload."""
     payload = run_bench()
     emit_kernel_json(payload)
     assert payload["bit_identical"], \
-        "batched lanes diverge from the scalar solver"
-    assert payload["speedup"] >= MIN_SPEEDUP, (
-        f"batched kernel speedup {payload['speedup']:.2f}x below the "
+        "batched lanes diverge from one-lane runs"
+    assert payload["batch_speedup"] >= MIN_SPEEDUP, (
+        f"batch speedup {payload['batch_speedup']:.2f}x below the "
         f"{MIN_SPEEDUP:.1f}x floor")
 
 
@@ -126,11 +121,11 @@ def main() -> int:
     emit_kernel_json(payload)
     print(json.dumps(payload, indent=1, sort_keys=True))
     if not payload["bit_identical"]:
-        print("FAIL: batched lanes diverge from scalar",
+        print("FAIL: batched lanes diverge from one-lane runs",
               file=sys.stderr)
         return 1
-    if payload["speedup"] < MIN_SPEEDUP:
-        print(f"FAIL: speedup {payload['speedup']:.2f}x < "
+    if payload["batch_speedup"] < MIN_SPEEDUP:
+        print(f"FAIL: batch speedup {payload['batch_speedup']:.2f}x < "
               f"{MIN_SPEEDUP:.1f}x", file=sys.stderr)
         return 1
     return 0

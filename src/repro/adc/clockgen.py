@@ -21,7 +21,7 @@ import numpy as np
 from ..circuit.elements import Capacitor, Resistor, VoltageSource
 from ..circuit.mosfet import Mosfet
 from ..circuit.netlist import Circuit
-from ..circuit.transient import TransientResult, supply_current, transient
+from ..circuit.transient import TransientResult, supply_current
 from ..layout.synth import SynthOptions, synthesize
 from .comparator import CLOCK_PERIOD, comparator_clocks, \
     phase_measure_times

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..adc.process import Process, typical
-from ..circuit.batch import clear_kernel_cache
 from ..circuit.dc import ConvergenceError
 from ..defects.collapse import FaultClass
 from ..faultsim.engine import ComparatorFaultEngine, EngineConfig
@@ -173,11 +172,9 @@ def get_engine(spec: EngineSpec):
 
 
 def clear_engine_cache() -> None:
-    """Drop cached engines, baselines and kernel buffers (tests /
-    memory pressure)."""
+    """Drop cached engines and baselines (tests / memory pressure)."""
     _ENGINES.clear()
     _BASELINES.clear()
-    clear_kernel_cache()
 
 
 def simulate_class(fault_class: FaultClass,

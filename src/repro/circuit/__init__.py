@@ -16,9 +16,8 @@ Public API:
 """
 
 from .ac import ACResult, ac_analysis, bandwidth_3db, log_frequencies
-from .batch import (BatchUnsupported, LaneResult, clear_kernel_cache,
-                    operating_point_lanes, structure_signature,
-                    transient_batch, transient_lanes)
+from .batch import (BatchUnsupported, LaneResult, operating_point_lanes,
+                    structure_signature, transient_batch, transient_lanes)
 from .dc import ConvergenceError, DCResult, dc_sweep, operating_point
 from .elements import (Capacitor, CurrentSource, Diode, Element, Resistor,
                        Switch, VCCS, VCVS, VoltageSource)
@@ -36,9 +35,8 @@ from .waveforms import DC, PWL, Pulse, Sin, Triangle, three_phase_clocks
 
 __all__ = [
     "ACResult", "ac_analysis", "bandwidth_3db", "log_frequencies",
-    "BatchUnsupported", "LaneResult", "clear_kernel_cache",
-    "operating_point_lanes", "structure_signature", "transient_batch",
-    "transient_lanes",
+    "BatchUnsupported", "LaneResult", "operating_point_lanes",
+    "structure_signature", "transient_batch", "transient_lanes",
     "ConvergenceError", "DCResult", "dc_sweep", "operating_point",
     "Capacitor", "CurrentSource", "Diode", "Element", "Resistor", "Switch",
     "VCCS", "VCVS", "VoltageSource", "MNASystem", "StampContext",

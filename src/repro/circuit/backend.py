@@ -4,10 +4,11 @@ Every Newton iteration ends in a linear solve.  The ``solver`` knob
 picks how the batched kernel (:mod:`repro.circuit.batch`) performs it:
 
 ``dense``
-    The ``(B, n, n)`` stacked LAPACK solve with per-lane fallback.
-    Bit-identical to the scalar reference path
-    (:class:`~repro.circuit.mna.MNASystem`, one ``numpy.linalg.solve``
-    per system); it is what ``auto`` resolves to.
+    The ``(B, n, n)`` stacked LAPACK solve, one lane at a time when a
+    lane is singular.  Bit-identical to a scalar Newton that assembles
+    through :class:`~repro.circuit.mna.MNASystem` and solves with one
+    ``numpy.linalg.solve`` per system (the kernel tests' oracle); it is
+    what ``auto`` resolves to.
 
 ``sparse``
     CSR/CSC assembly driven by the compiled contribution program:

@@ -1,12 +1,15 @@
-"""Batched MNA transient kernel.
+"""Batched MNA kernel: the one Newton of every DC and transient solve.
 
 Fault simulation runs the *same* circuit topology many times with
 different source values and device parameters: above/below input probes,
 reduced process corners, fault-model variants.  This module stacks B such
 lanes into one ``(B, n, n)`` system and solves the whole stack with one
-``numpy.linalg.solve`` call per Newton iteration (LAPACK runs the same
-``dgesv`` per slice as the scalar path, so per-lane solutions are
-bit-identical).
+``numpy.linalg.solve`` call per Newton iteration (LAPACK runs one
+``dgesv`` per slice, so a lane's solution does not depend on which other
+lanes share its batch).  A single circuit is a batch of one:
+:func:`~repro.circuit.dc.operating_point` and
+:func:`~repro.circuit.transient.transient` are one-lane calls of
+:func:`operating_point_lanes` and :func:`transient_batch`.
 
 Assembly is a *compiled contribution program*: at batch setup the element
 list is flattened — in element insertion order, contribution by
@@ -19,33 +22,29 @@ entry any element would stamp.  Each Newton iteration then
 2. scatters each lane's contribution list with one ``numpy.bincount``
    (which accumulates duplicate indices strictly in order).
 
-Because the contribution order equals the scalar stamp order and
+Because the contribution order equals the :meth:`Element.stamp` order and
 ``bincount`` sums sequentially from +0.0, every matrix entry is the very
-same floating-point sum the scalar assembly computes — batched results
-are bit-identical, at a fraction of the per-element call overhead that a
-naive "stamp each element with (B,) arrays" approach pays.
+same floating-point sum :meth:`~repro.circuit.mna.MNASystem.assemble`
+computes, at a fraction of the per-element call overhead.
 
 Per-lane convergence masking: lanes that converge are frozen, lanes that
-fail a Newton stage retry through the scalar path's exact gmin/damping
-ladder, and lanes that fail a timepoint retry it with two halved steps —
-all without stalling the remaining lanes.  A lane that still fails is
-reported as a :class:`~repro.circuit.dc.ConvergenceError`; callers
-(see :func:`transient_lanes`) re-run such lanes through the scalar
-:func:`~repro.circuit.transient.transient`, which guarantees the overall
-results are bit-identical to an all-scalar run.
+fail a Newton stage retry through the gmin/damping ladder, and lanes that
+fail a timepoint retry it with two halved steps — all without stalling
+the remaining lanes.  A lane that still fails is reported as a
+:class:`~repro.circuit.dc.ConvergenceError`.  An element type the
+program does not compile raises :class:`BatchUnsupported`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from .backend import (SparsePattern, phase_timer, record_matrix,
                       resolve_solver)
 from .dc import (ConvergenceError, DCResult, GMIN_LADDER, MAX_NEWTON_STEP,
-                 NEWTON_VTOL, SOURCE_GMIN_LADDER, SOURCE_STEPS,
-                 operating_point)
+                 NEWTON_VTOL, SOURCE_GMIN_LADDER, SOURCE_STEPS)
 from .elements import (BatchUnsupported, Capacitor, CurrentSource, Diode,
                        Resistor, Switch, VCCS, VCVS, VoltageSource)
 from .mna import StampContext
@@ -54,12 +53,11 @@ from .netlist import Circuit
 from .transient import TIMEPOINT_STAGES, TransientResult, _step_at
 
 __all__ = ["BatchUnsupported", "BatchedMNASystem", "LaneResult",
-           "SparseBatchedMNASystem", "clear_kernel_cache",
-           "operating_point_lanes", "structure_signature",
-           "transient_batch", "transient_lanes"]
+           "SparseBatchedMNASystem", "operating_point_lanes",
+           "structure_signature", "transient_batch", "transient_lanes"]
 
 #: what one lane of a batched run yields: waveforms, or the error that
-#: lane would have raised
+#: lane raised
 LaneResult = Union[TransientResult, ConvergenceError]
 
 
@@ -875,7 +873,7 @@ def _solve_stack(G: np.ndarray, b: np.ndarray, active: np.ndarray,
     try:
         # the explicit RHS column keeps numpy's gufunc dispatch on the
         # (B, n, n) @ (B, n, 1) stacked form; nrhs=1 dgesv per slice is
-        # the very computation the scalar path runs
+        # the very computation MNASystem.solve runs
         return np.linalg.solve(G, b[..., None])[..., 0], active.copy()
     except np.linalg.LinAlgError:
         X_new = np.zeros_like(b)
@@ -893,7 +891,12 @@ def _newton_batch(program: _BatchProgram, system: BatchedMNASystem,
                   ctx: StampContext, X0: np.ndarray, active0: np.ndarray,
                   max_iter: int, vtol: float = NEWTON_VTOL,
                   damping: float = 1.0):
-    """Masked-lane Newton iteration, replicating ``dc._newton`` per lane.
+    """Masked-lane damped Newton iteration.
+
+    Each lane iterates independently: voltage steps are limited to
+    ``MAX_NEWTON_STEP`` and a lane converges once its damped step drops
+    below ``vtol`` (then it is frozen); a singular or non-finite solve
+    fails the lane out at once.
 
     Returns ``(X, converged, failed)``; lanes outside ``active0`` are
     left untouched and belong to neither output mask.
@@ -928,7 +931,8 @@ def _newton_batch(program: _BatchProgram, system: BatchedMNASystem,
 def _solve_timepoint_batch(program, system, X_prev, t, h, method,
                            cap_currents, want: np.ndarray,
                            X_seed: Optional[np.ndarray] = None):
-    """Batched twin of ``transient._solve_timepoint``.
+    """Newton solve of one implicit timepoint through the
+    ``TIMEPOINT_STAGES`` ladder.
 
     ``X_seed`` optionally replaces ``X_prev`` as the first stage's
     Newton start (warm-start guides); the retry stage always restarts
@@ -964,18 +968,16 @@ def _operating_point_batch(program: _BatchProgram, system: BatchedMNASystem,
                            circuits: Sequence[Circuit], gmin: float = 1e-12,
                            time: float = 0.0, max_iter: int = 120,
                            X0: Optional[np.ndarray] = None):
-    """Per-lane replication of ``dc.operating_point``'s continuation
-    ladder: plain Newton, then gmin stepping, then source stepping with a
-    relaxed gmin ladder at each step (keeping the *last* gmin that
-    converges, as the scalar code does).
+    """The DC continuation ladder, per lane: plain Newton, then gmin
+    stepping, then source stepping with a relaxed gmin ladder at each
+    step (keeping the *last* gmin that converges).
 
-    ``X0`` optionally warm-starts the plain-Newton stage (mirroring the
-    scalar ``operating_point(x0=...)``); the gmin and source ladders
-    always restart cold from zeros, so a bad guess costs nothing but
-    the first stage.
+    ``X0`` optionally warm-starts plain Newton and gmin stepping
+    (``operating_point(x0=...)``); source stepping always restarts cold
+    from zeros.
 
-    Returns ``(X, errors)`` where ``errors[k]`` is the
-    :class:`ConvergenceError` lane *k* would have raised, or None.
+    Returns ``(X, errors)`` where ``errors[k]`` is lane *k*'s
+    :class:`ConvergenceError`, or None.
     """
     nlanes = len(circuits)
     nsize = system.n
@@ -993,9 +995,8 @@ def _operating_point_batch(program: _BatchProgram, system: BatchedMNASystem,
     if not fail1.any():
         return X_out, errors
 
-    # gmin stepping; a lane drops to source stepping at its first
-    # failed rung, exactly like the scalar ladder's break (which also
-    # starts from the caller's guess when one is given)
+    # gmin stepping from the caller's guess; a lane drops to source
+    # stepping at its first failed rung
     Xc = np.zeros((nlanes, nsize)) if X0 is None \
         else np.array(X0, dtype=float)
     trying = fail1.copy()
@@ -1038,17 +1039,34 @@ def _operating_point_batch(program: _BatchProgram, system: BatchedMNASystem,
     return X_out, errors
 
 
-def _batch_group(solver: str, nmembers: int) -> bool:
-    """Shared group-size policy of the ``*_lanes`` entry points.
+def _solve_groups(circuits: Sequence[Circuit], solver: str,
+                  solve: Callable[[List[int], str], list]) -> list:
+    """Run every structure group of *circuits* through the lane program.
 
-    ``dense`` (what ``auto`` resolves to) batches groups of two or
-    more and solves singletons on the scalar path; ``sparse`` batches
-    every group *including singletons* — a single full-chip lane is
-    exactly where the sparse backend pays.
+    ``solve(members, kind)`` solves the lanes ``members`` (indices into
+    *circuits*, one structure) on the ``kind`` system and returns one
+    outcome per member.  A lane that fails on ``sparse`` retries once on
+    its own on the dense program, so a sparse run never reports a
+    failure the dense kernel would not.
     """
-    if solver == "sparse":
-        return nmembers >= 1
-    return nmembers > 1
+    kind = "sparse" if resolve_solver(solver) == "sparse" else "dense"
+    groups: Dict[tuple, List[int]] = {}
+    for k, c in enumerate(circuits):
+        groups.setdefault(structure_signature(c), []).append(k)
+    results: list = [None] * len(circuits)
+    for members in groups.values():
+        for k, outcome in zip(members, solve(members, kind)):
+            if kind == "sparse" and isinstance(outcome, ConvergenceError):
+                (outcome,) = solve([k], "dense")
+            results[k] = outcome
+    return results
+
+
+def _new_system(compiled, nlanes: int, kind: str) -> BatchedMNASystem:
+    """Fresh system buffers for one call: concurrent solves of the same
+    shape must not share ``G``/``b``."""
+    cls = SparseBatchedMNASystem if kind == "sparse" else BatchedMNASystem
+    return cls(compiled, nlanes)
 
 
 def operating_point_lanes(circuits: Sequence[Circuit], gmin: float = 1e-12,
@@ -1056,74 +1074,43 @@ def operating_point_lanes(circuits: Sequence[Circuit], gmin: float = 1e-12,
                           x0_guesses: Optional[Sequence] = None,
                           solver: str = "auto"
                           ) -> List[Union[DCResult, ConvergenceError]]:
-    """DC operating points for arbitrary lanes, batched where possible.
+    """DC operating points for arbitrary lanes.
 
-    The batched counterpart of calling
-    :func:`~repro.circuit.dc.operating_point` per circuit (corner
-    sweeps, DC macro engines).  Lanes are grouped by
-    :func:`structure_signature`; groups of two or more solve through the
-    batched Newton ladder, and any lane the kernel cannot finish is
-    re-run scalar — results per lane are bit-identical to an all-scalar
-    sweep.  Failed lanes yield the :class:`ConvergenceError` the scalar
-    call raises instead of a :class:`~repro.circuit.dc.DCResult`.
+    Lanes are grouped by :func:`structure_signature` and each group,
+    one-lane groups included, solves through the batched continuation
+    ladder; :func:`~repro.circuit.dc.operating_point` is the one-lane
+    case.  A failed lane yields its :class:`ConvergenceError` instead of
+    a :class:`~repro.circuit.dc.DCResult`.
 
     Args:
         x0_guesses: optional per-lane warm Newton guesses (None entries
-            start cold); threaded to both the batched ladder and any
-            scalar fallback so the two paths see the same inputs.
+            start cold).
         solver: linear backend (see
-            :data:`~repro.circuit.backend.SOLVERS`).  ``sparse``
-            batches every group including singletons; failed sparse
-            lanes still retry on the scalar path.
+            :data:`~repro.circuit.backend.SOLVERS`); lanes that fail on
+            ``sparse`` retry on the dense program.
+
+    Raises:
+        BatchUnsupported: if an element type cannot be compiled.
     """
     circuits = list(circuits)
     if x0_guesses is None:
         x0_guesses = [None] * len(circuits)
-    resolved = resolve_solver(solver)
-    kind = "sparse" if resolved == "sparse" else "dense"
 
-    def scalar(k: int):
-        try:
-            return operating_point(circuits[k], x0=x0_guesses[k],
-                                   gmin=gmin, time=time,
-                                   max_iter=max_iter)
-        except ConvergenceError as exc:
-            return exc
-
-    results: List[Optional[Union[DCResult, ConvergenceError]]] = \
-        [None] * len(circuits)
-    groups: Dict[tuple, List[int]] = {}
-    for k, c in enumerate(circuits):
-        groups.setdefault(structure_signature(c), []).append(k)
-
-    for members in groups.values():
+    def solve(members: List[int], kind: str):
         lane_circuits = [circuits[k] for k in members]
-        solved = False
-        if _batch_group(resolved, len(members)):
-            try:
-                compiled = lane_circuits[0].compile()
-                system = _get_system(compiled, len(members), kind)
-                program = _BatchProgram(lane_circuits, system, tran=False)
-                X0 = _stack_guesses([x0_guesses[k] for k in members],
-                                    compiled.size)
-                with np.errstate(all="ignore"):
-                    X, errors = _operating_point_batch(
-                        program, system, lane_circuits, gmin=gmin,
-                        time=time, max_iter=max_iter, X0=X0)
-            except BatchUnsupported:
-                pass
-            else:
-                solved = True
-                for i, k in enumerate(members):
-                    if errors[i] is None:
-                        results[k] = DCResult(x=X[i], compiled=compiled)
-                    else:
-                        # scalar retry keeps the all-scalar contract
-                        results[k] = scalar(k)
-        if not solved:
-            for k in members:
-                results[k] = scalar(k)
-    return results
+        compiled = lane_circuits[0].compile()
+        system = _new_system(compiled, len(members), kind)
+        program = _BatchProgram(lane_circuits, system, tran=False)
+        X0 = _stack_guesses([x0_guesses[k] for k in members],
+                            compiled.size)
+        with np.errstate(all="ignore"):
+            X, errors = _operating_point_batch(
+                program, system, lane_circuits, gmin=gmin, time=time,
+                max_iter=max_iter, X0=X0)
+        return [DCResult(x=X[i], compiled=compiled) if err is None
+                else err for i, err in enumerate(errors)]
+
+    return _solve_groups(circuits, solver, solve)
 
 
 def _stack_guesses(guesses: Sequence, nsize: int) -> Optional[np.ndarray]:
@@ -1141,37 +1128,6 @@ def _stack_guesses(guesses: Sequence, nsize: int) -> Optional[np.ndarray]:
     return X0
 
 
-# -- system buffer cache ----------------------------------------------------
-
-#: per-process reuse of the system buffers across calls — fault
-#: campaigns solve thousands of same-shaped batches, and reallocating
-#: the stack each time is measurable.  Cleared alongside the campaign
-#: engine cache (see ``repro.campaign.tasks.clear_engine_cache``).
-_SYSTEM_CACHE: Dict[Tuple[int, int, str], BatchedMNASystem] = {}
-_SYSTEM_CACHE_MAX = 16
-
-
-def _get_system(compiled, nlanes: int,
-                kind: str = "dense") -> BatchedMNASystem:
-    key = (compiled.size, nlanes, kind)
-    system = _SYSTEM_CACHE.get(key)
-    if system is None:
-        cls = SparseBatchedMNASystem if kind == "sparse" \
-            else BatchedMNASystem
-        system = cls(compiled, nlanes)
-        if len(_SYSTEM_CACHE) >= _SYSTEM_CACHE_MAX:
-            _SYSTEM_CACHE.pop(next(iter(_SYSTEM_CACHE)))
-        _SYSTEM_CACHE[key] = system
-    else:
-        system.compiled = compiled
-    return system
-
-
-def clear_kernel_cache() -> None:
-    """Drop cached batch-system buffers (tests / memory pressure)."""
-    _SYSTEM_CACHE.clear()
-
-
 # -- batched transient -------------------------------------------------------
 
 
@@ -1187,16 +1143,20 @@ def transient_batch(circuits: Sequence[Circuit], tstop: float, dt: float,
     """Run B structurally identical circuits through one lockstep
     transient.
 
-    Mirrors :func:`~repro.circuit.transient.transient` exactly per lane:
-    same initial operating-point ladder, same step schedule, same
-    per-timepoint Newton ladder, same two-level step halving.  Lanes
-    that exhaust the ladder get a :class:`ConvergenceError` entry (and
-    the surviving lanes keep marching).
+    Every lane starts from its DC operating point at t=0 (or from
+    ``x0s``) and marches the fixed step schedule with the
+    per-timepoint Newton ladder and two-level step halving.  Lanes that
+    exhaust the ladder get a :class:`ConvergenceError` entry (and the
+    surviving lanes keep marching).  See
+    :func:`~repro.circuit.transient.transient` for the step schedule
+    and its one-lane form.
 
     Args:
+        x0s: optional ``(B, n)`` initial solutions that replace the
+            t=0 operating point.
         op_x0: optional ``(B, n)`` warm guess for the t=0 operating
-            point's plain-Newton stage (continuation ladders keep their
-            cold fallbacks).
+            point's plain Newton and gmin stepping (source stepping
+            stays cold).
         guide: optional ``(times, G)`` warm-start guide where ``G`` is
             a ``(B, len(times), n)`` reference trajectory recorded on
             the same step schedule; each timepoint's first Newton stage
@@ -1204,13 +1164,13 @@ def transient_batch(circuits: Sequence[Circuit], tstop: float, dt: float,
             guide increment (a zero guide row leaves a lane on the
             classic ``x_prev`` seed).
         solver: linear backend; ``sparse`` skips the dense stack
-            entirely (full-chip netlists) with per-lane dense
-            fallback on singular factorisations.
+            entirely (full-chip netlists) and solves a lane densely
+            when its sparse factorisation is singular.
 
     Raises:
         ValueError: if the circuits' structures differ (they cannot
             share a batch).
-        BatchUnsupported: if an element cannot stamp batched.
+        BatchUnsupported: if an element type cannot be compiled.
     """
     if method not in ("be", "trap"):
         raise ValueError(f"unknown integration method {method!r}")
@@ -1232,7 +1192,7 @@ def transient_batch(circuits: Sequence[Circuit], tstop: float, dt: float,
     nlanes = len(circuits)
     compiled = circuits[0].compile()
     kind = "sparse" if resolve_solver(solver) == "sparse" else "dense"
-    system = _get_system(compiled, nlanes, kind)
+    system = _new_system(compiled, nlanes, kind)
     program = _BatchProgram(circuits, system, tran=True)
 
     lane_error: List[Optional[ConvergenceError]] = [None] * nlanes
@@ -1334,74 +1294,37 @@ def transient_lanes(circuits: Sequence[Circuit], tstop: float, dt: float,
                     fine_windows: Optional[Sequence] = None,
                     guides: Optional[Sequence] = None,
                     solver: str = "auto") -> List[LaneResult]:
-    """Transients for arbitrary lanes, batched where structure allows.
+    """Transients for arbitrary lanes.
 
-    Lanes are grouped by :func:`structure_signature`; each group of two
-    or more runs through :func:`transient_batch`, singletons (and any
-    lane the kernel gives up on) run through the scalar
-    :func:`~repro.circuit.transient.transient`.  The scalar fallback is
-    unconditional on failure, so the output per lane is exactly what an
-    all-scalar run would produce — a failed lane yields the
-    :class:`ConvergenceError` the scalar path raises.
+    Lanes are grouped by :func:`structure_signature` and each group,
+    one-lane groups included, runs through :func:`transient_batch`.  A
+    failed lane yields its :class:`ConvergenceError`.
 
     Args:
         guides: optional per-lane ``(times, xs)`` warm-start guides
             (None entries run cold) already aligned to each lane's
             unknown ordering; ``xs[0]`` doubles as the t=0 operating
-            point's warm guess.  Threaded identically to the batched
-            kernel and the scalar fallback.
-        solver: linear backend.  ``sparse`` batches every group
-            including singletons; lanes the sparse kernel gives up on
-            still retry through the scalar path.
-    """
-    from .transient import transient
+            point's warm guess.
+        solver: linear backend; lanes that fail on ``sparse`` retry on
+            the dense program.
 
+    Raises:
+        BatchUnsupported: if an element type cannot be compiled.
+    """
     circuits = list(circuits)
     if guides is None:
         guides = [None] * len(circuits)
-    resolved = resolve_solver(solver)
 
-    def scalar(k: int) -> LaneResult:
-        g = guides[k]
-        try:
-            return transient(circuits[k], tstop=tstop, dt=dt,
-                             method=method, record_every=record_every,
-                             fine_windows=fine_windows,
-                             x0_guess=None if g is None else g[1][0],
-                             guide=g)
-        except ConvergenceError as exc:
-            return exc
+    def solve(members: List[int], kind: str) -> List[LaneResult]:
+        op_x0, guide = _stack_guides([guides[k] for k in members],
+                                     circuits[members[0]].compile().size)
+        return transient_batch([circuits[k] for k in members],
+                               tstop=tstop, dt=dt, method=method,
+                               record_every=record_every,
+                               fine_windows=fine_windows, op_x0=op_x0,
+                               guide=guide, solver=kind)
 
-    results: List[Optional[LaneResult]] = [None] * len(circuits)
-    groups: Dict[tuple, List[int]] = {}
-    for k, c in enumerate(circuits):
-        groups.setdefault(structure_signature(c), []).append(k)
-
-    for members in groups.values():
-        if _batch_group(resolved, len(members)):
-            try:
-                op_x0, guide = _stack_guides(
-                    [guides[k] for k in members],
-                    circuits[members[0]].compile().size)
-                outcomes = transient_batch(
-                    [circuits[k] for k in members], tstop=tstop, dt=dt,
-                    method=method, record_every=record_every,
-                    fine_windows=fine_windows, op_x0=op_x0, guide=guide,
-                    solver=resolved)
-            except BatchUnsupported:
-                outcomes = [None] * len(members)
-            for k, outcome in zip(members, outcomes):
-                if isinstance(outcome, TransientResult):
-                    results[k] = outcome
-                else:
-                    # kernel could not finish this lane — scalar retry
-                    # keeps the all-scalar contract (including which
-                    # error, if any, the lane reports)
-                    results[k] = scalar(k)
-        else:
-            for k in members:
-                results[k] = scalar(k)
-    return results
+    return _solve_groups(circuits, solver, solve)
 
 
 def _stack_guides(guides: Sequence, nsize: int):

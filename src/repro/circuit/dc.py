@@ -4,7 +4,10 @@ Newton-Raphson iteration with voltage-step damping, falling back to gmin
 stepping and then source stepping when the plain iteration fails — the
 standard SPICE continuation ladder, which matters here because fault
 injection produces badly conditioned circuits (0.2-ohm shorts across
-supplies, floating gates behind opens) that must still converge.
+supplies, floating gates behind opens) that must still converge.  The
+ladder runs on the compiled lane program
+(:func:`~repro.circuit.batch.operating_point_lanes`); a single circuit
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .mna import MNASystem, StampContext
 from .netlist import Circuit, CompiledCircuit
 
 
@@ -22,15 +24,12 @@ class ConvergenceError(Exception):
     """Newton iteration failed to converge after all continuation steps."""
 
 
-#: voltage-step limit of the damped Newton iteration (volts).  The
-#: batched kernel (:mod:`repro.circuit.batch`) replicates the scalar
-#: iteration lane by lane, so both must read the same constants.
+#: voltage-step limit of the damped Newton iteration (volts)
 MAX_NEWTON_STEP = 1.0
 #: convergence tolerance on the damped voltage step (volts)
 NEWTON_VTOL = 1e-6
 #: gmin continuation ladder tried when plain Newton fails (the final
-#: step is always the caller's target gmin).  Shared with the batched
-#: kernel's :func:`~repro.circuit.batch.operating_point_lanes`.
+#: step is always the caller's target gmin)
 GMIN_LADDER = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10)
 #: number of source-stepping continuation points (0.05 .. 1.0)
 SOURCE_STEPS = 20
@@ -66,33 +65,6 @@ class DCResult:
                 for node, idx in self.compiled.node_index.items()}
 
 
-def _newton(circuit: Circuit, system: MNASystem, ctx: StampContext,
-            x0: np.ndarray, max_iter: int = 120, vtol: float = NEWTON_VTOL,
-            damping: float = 1.0) -> Optional[np.ndarray]:
-    """One Newton-Raphson run; returns the solution or None."""
-    x = x0.copy()
-    for _ in range(max_iter):
-        system.assemble(circuit, x, ctx)
-        try:
-            x_new = system.solve()
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(x_new)):
-            return None
-        delta = x_new - x
-        # Voltage-step limiting keeps exponential/square-law devices from
-        # overshooting into non-physical regions.
-        max_step = MAX_NEWTON_STEP
-        scale = damping
-        biggest = np.max(np.abs(delta)) if delta.size else 0.0
-        if biggest > max_step:
-            scale = min(scale, max_step / biggest)
-        x = x + scale * delta
-        if biggest * scale < vtol:
-            return x
-    return None
-
-
 def operating_point(circuit: Circuit, x0: Optional[np.ndarray] = None,
                     gmin: float = 1e-12, time: float = 0.0,
                     max_iter: int = 120) -> DCResult:
@@ -108,48 +80,16 @@ def operating_point(circuit: Circuit, x0: Optional[np.ndarray] = None,
 
     Raises:
         ConvergenceError: when every strategy fails.
+        BatchUnsupported: if an element type cannot be compiled.
     """
-    compiled = circuit.compile()
-    system = MNASystem(compiled)
-    if x0 is None or len(x0) != compiled.size:
-        x0 = np.zeros(compiled.size)
+    # deferred import: batch imports this module
+    from .batch import operating_point_lanes
 
-    # 1. plain Newton
-    ctx = StampContext(mode="dc", time=time, gmin=gmin)
-    x = _newton(circuit, system, ctx, x0, max_iter=max_iter)
-    if x is not None:
-        return DCResult(x=x, compiled=compiled)
-
-    # 2. gmin stepping
-    x_cont = x0.copy()
-    ok = True
-    for g in GMIN_LADDER + (gmin,):
-        ctx = StampContext(mode="dc", time=time, gmin=g)
-        x_next = _newton(circuit, system, ctx, x_cont, max_iter=max_iter)
-        if x_next is None:
-            ok = False
-            break
-        x_cont = x_next
-    if ok:
-        return DCResult(x=x_cont, compiled=compiled)
-
-    # 3. source stepping (with a relaxed gmin ladder at each step)
-    x_cont = np.zeros(compiled.size)
-    for scale in np.linspace(0.05, 1.0, SOURCE_STEPS):
-        solved = None
-        for g in SOURCE_GMIN_LADDER + (gmin,):
-            ctx = StampContext(mode="dc", time=time, gmin=g,
-                               source_scale=float(scale))
-            attempt = _newton(circuit, system, ctx, x_cont,
-                              max_iter=max_iter, damping=0.7)
-            if attempt is not None:
-                solved = attempt
-        if solved is None:
-            raise ConvergenceError(
-                f"source stepping failed at scale={scale:.2f} "
-                f"for circuit {circuit.title!r}")
-        x_cont = solved
-    return DCResult(x=x_cont, compiled=compiled)
+    (result,) = operating_point_lanes([circuit], gmin=gmin, time=time,
+                                      max_iter=max_iter, x0_guesses=[x0])
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result
 
 
 def dc_sweep(circuit: Circuit, source_name: str, values,

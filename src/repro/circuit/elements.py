@@ -23,10 +23,11 @@ ValueOrWaveform = Union[float, "object"]
 
 
 class BatchUnsupported(Exception):
-    """This element (or lane combination) cannot be stamped batched.
+    """This element (or lane combination) cannot be compiled into the
+    lane program.
 
-    The batched kernel treats it as a soft failure and falls back to
-    the scalar per-lane path.
+    Raised from the analysis entry points: there is no second solver
+    to fall back to.
     """
 
 

@@ -19,12 +19,13 @@ from .backend import phase_timer
 class SingularSystemError(np.linalg.LinAlgError):
     """Singular MNA system, annotated with the suspect unknowns.
 
-    Subclasses ``numpy.linalg.LinAlgError`` so every Newton
-    continuation ladder that catches the bare LAPACK error (the scalar
-    ``dc._newton``, the batched kernel's per-lane retry) keeps working
-    unchanged — but a failure that escapes all the way into a campaign
-    failure record now names the offending nodes/branches instead of
-    just saying "Singular matrix".
+    Raised by :meth:`MNASystem.solve`, i.e. by
+    :func:`~repro.circuit.ac.ac_analysis`, whose per-frequency solve
+    has no continuation ladder to absorb it; it names the offending
+    nodes/branches instead of just saying "Singular matrix".  Subclasses
+    ``numpy.linalg.LinAlgError``.  DC and transient solves run on the
+    lane program, where a singular lane is a Newton failure that ends
+    in a :class:`~repro.circuit.dc.ConvergenceError`.
     """
 
 
@@ -58,8 +59,11 @@ class StampContext:
 class MNASystem:
     """Dense MNA matrix with stamping helpers.
 
-    Built from a :class:`repro.circuit.netlist.CompiledCircuit`; reused
-    across Newton iterations via :meth:`reset`.
+    Built from a :class:`repro.circuit.netlist.CompiledCircuit`.  AC
+    analysis solves through it, and :meth:`assemble` (one
+    :meth:`Element.stamp` per element) is the reference that the
+    compiled lane program of :mod:`repro.circuit.batch` reproduces bit
+    for bit.
     """
 
     def __init__(self, compiled, dtype=float) -> None:

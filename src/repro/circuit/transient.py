@@ -3,19 +3,19 @@
 The paper's fault simulations are clocked comparisons over a handful of
 clock periods; a fixed-step implicit integrator with a Newton solve per
 timepoint is robust against the stiff circuits fault injection creates
-(sub-ohm shorts next to femtofarad capacitors).
+(sub-ohm shorts next to femtofarad capacitors).  The time loop runs on
+the compiled lane program (:func:`~repro.circuit.batch.transient_batch`);
+a single circuit is a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .dc import ConvergenceError, operating_point, _newton
-from .elements import Capacitor
-from .mna import MNASystem, StampContext
+from .dc import ConvergenceError
 from .netlist import Circuit
 
 
@@ -90,8 +90,8 @@ def transient(circuit: Circuit, tstop: float, dt: float,
             metastable point.
         x0_guess: optional warm Newton guess for the t=0 operating
             point (e.g. the good-circuit solution of a faulty variant).
-            The full gmin/source stepping ladder stays as fallback, so
-            this only changes where the first plain Newton starts.
+            It only changes where plain Newton and gmin stepping start;
+            source stepping stays cold.
         guide: optional ``(times, xs)`` reference trajectory aligned to
             this circuit's unknown ordering and recorded on the same
             ``tstop/dt/fine_windows`` schedule at ``record_every=1``.
@@ -101,94 +101,32 @@ def transient(circuit: Circuit, tstop: float, dt: float,
             lane that drifts off the guide converges exactly as before.
 
     Raises:
-        ConvergenceError: if a timepoint fails to converge even after
-            local step halving.
+        ConvergenceError: if the operating point or a timepoint fails
+            to converge even after local step halving.
+        BatchUnsupported: if an element type cannot be compiled.
     """
-    if method not in ("be", "trap"):
-        raise ValueError(f"unknown integration method {method!r}")
-    if dt <= 0 or tstop <= 0:
-        raise ValueError("dt and tstop must be positive")
-    windows = sorted(fine_windows or [])
-    for t0, t1, dtf in windows:
-        if dtf <= 0 or t1 <= t0:
-            raise ValueError(f"malformed fine window ({t0}, {t1}, {dtf})")
+    # deferred import: batch imports this module
+    from .batch import _stack_guesses, transient_batch
 
-    compiled = circuit.compile()
-    system = MNASystem(compiled)
-    if x0 is None:
-        op = operating_point(circuit, x0=x0_guess, time=0.0)
-        x = op.x
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        if len(x) != compiled.size:
-            raise ValueError("x0 has the wrong size for this circuit")
+    size = circuit.compile().size
     if guide is not None:
         guide_times, guide_xs = guide
-        if guide_xs.ndim != 2 or guide_xs.shape[1] != compiled.size:
-            guide = None
-
-    caps: List[Capacitor] = [el for el in circuit.elements
-                             if isinstance(el, Capacitor)]
-    cap_currents: Dict[str, float] = {c.name: 0.0 for c in caps}
-
-    times = [0.0]
-    xs = [x.copy()]
-    t = 0.0
-    step = 0
-    while t < tstop - 1e-15:
-        h = min(_step_at(t, dt, windows), tstop - t)
-        x_seed = None
-        if guide is not None and step + 1 < len(guide_times) \
-                and guide_times[step] == t \
-                and guide_times[step + 1] == t + h:
-            # seed with the guide's increment over this very step; the
-            # schedules are deterministic, so a mismatch simply means
-            # the guide no longer applies (and the seed is skipped)
-            x_seed = x + (guide_xs[step + 1] - guide_xs[step])
-        x_next = _solve_timepoint(circuit, system, x, t, h, method,
-                                  cap_currents, x_seed=x_seed)
-        if x_next is None:
-            # local step halving, two levels deep
-            x_half = x
-            sub_t = t
-            converged = True
-            for _ in range(2):
-                x_try = _solve_timepoint(circuit, system, x_half, sub_t,
-                                         h / 2.0, method, cap_currents)
-                if x_try is None:
-                    converged = False
-                    break
-                sub_t += h / 2.0
-                x_half = x_try
-            if not converged:
-                raise ConvergenceError(
-                    f"transient failed at t={t + h:.3e} for circuit "
-                    f"{circuit.title!r}")
-            x_next = x_half
-        if method == "trap":
-            ctx = StampContext(mode="tran", time=t + h, dt=h, x_prev=x,
-                               method=method, cap_currents=cap_currents)
-            new_currents = {}
-            for c in caps:
-                new_currents[c.name] = c.charge_current(system, x_next, x,
-                                                        ctx)
-            cap_currents.update(new_currents)
-        t += h
-        x = x_next
-        step += 1
-        if step % record_every == 0 or t >= tstop - 1e-15:
-            times.append(t)
-            xs.append(x.copy())
-
-    return TransientResult(times=np.array(times), compiled=compiled,
-                           xs=np.array(xs))
+        guide = (guide_times, guide_xs[None]) \
+            if guide_xs.ndim == 2 and guide_xs.shape[1] == size else None
+    (result,) = transient_batch(
+        [circuit], tstop=tstop, dt=dt, method=method,
+        x0s=None if x0 is None else np.asarray(x0, dtype=float)[None],
+        record_every=record_every, fine_windows=fine_windows,
+        op_x0=_stack_guesses([x0_guess], size), guide=guide)
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result
 
 
 #: Newton retry ladder for one implicit timepoint, as ``(gmin,
-#: max_iter, damping)`` stages.  The batched kernel
-#: (:mod:`repro.circuit.batch`) re-runs stalled lanes through the same
-#: ladder, so scalar and batched paths must share these values for the
-#: bit-identical-fallback guarantee to hold.
+#: max_iter, damping)`` stages: the first starts from the warm-start
+#: seed (else the previous solution), the retry from the previous
+#: solution with a stronger gmin and damping.
 TIMEPOINT_STAGES = ((1e-12, 80, 1.0), (1e-9, 120, 0.7))
 
 
@@ -206,26 +144,3 @@ def _step_at(t: float, dt: float, windows) -> float:
             h = min(h, t0 - t)
             break
     return h
-
-
-def _solve_timepoint(circuit, system, x_prev, t, h, method, cap_currents,
-                     x_seed=None):
-    """Newton solve for one implicit timepoint; None on failure.
-
-    ``x_seed`` optionally replaces ``x_prev`` as the first stage's
-    Newton start (warm-start guides); the retry stage always restarts
-    from ``x_prev``.
-    """
-    ctx = StampContext(mode="tran", time=t + h, dt=h, x_prev=x_prev,
-                       gmin=TIMEPOINT_STAGES[0][0], method=method,
-                       cap_currents=cap_currents)
-    x = _newton(circuit, system, ctx,
-                x_prev if x_seed is None else x_seed,
-                max_iter=TIMEPOINT_STAGES[0][1])
-    if x is None:
-        # retry with a stronger gmin, then without a warm start
-        ctx.gmin = TIMEPOINT_STAGES[1][0]
-        x = _newton(circuit, system, ctx, x_prev,
-                    max_iter=TIMEPOINT_STAGES[1][1],
-                    damping=TIMEPOINT_STAGES[1][2])
-    return x

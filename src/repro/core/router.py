@@ -13,11 +13,7 @@ table instead:
 * :meth:`Router.resolve` returns the matched handler or raises
   :class:`RouteNotFound` (404) / :class:`MethodNotAllowed` (405, with
   the allowed verbs for the ``Allow`` header) — the two failure modes
-  the old string ladder could not tell apart;
-* aliases (the legacy unversioned routes) point at the *same* handler
-  entry as their canonical path, so the response bytes cannot drift
-  between the old and new names; the router remembers which names are
-  deprecated so the HTTP layer can attach a ``Deprecation`` header.
+  the old string ladder could not tell apart.
 
 The error *envelope* lives here too: every repro HTTP service answers
 failures as ``{"error": {"code": ..., "message": ...}}`` via
@@ -71,37 +67,26 @@ class Route:
         handler: the registered callable.
         params: captured ``<name>`` path segments, by name.
         pattern: the pattern the route was registered under.
-        deprecated: True when the *matched* name is a deprecated alias
-            of another route (drives the ``Deprecation`` header).
-        canonical: the canonical pattern (differs from ``pattern``
-            only for aliases).
     """
 
-    __slots__ = ("handler", "params", "pattern", "deprecated",
-                 "canonical")
+    __slots__ = ("handler", "params", "pattern")
 
     def __init__(self, handler: Callable, params: Dict[str, str],
-                 pattern: str, deprecated: bool,
-                 canonical: str) -> None:
+                 pattern: str) -> None:
         self.handler = handler
         self.params = params
         self.pattern = pattern
-        self.deprecated = deprecated
-        self.canonical = canonical
 
 
 class _Rule:
-    __slots__ = ("method", "segments", "pattern", "handler",
-                 "deprecated", "canonical")
+    __slots__ = ("method", "segments", "pattern", "handler")
 
-    def __init__(self, method: str, pattern: str, handler: Callable,
-                 deprecated: bool, canonical: str) -> None:
+    def __init__(self, method: str, pattern: str,
+                 handler: Callable) -> None:
         self.method = method.upper()
         self.pattern = pattern
         self.segments = _split(pattern)
         self.handler = handler
-        self.deprecated = deprecated
-        self.canonical = canonical
 
     def match(self, segments: Sequence[str]
               ) -> Optional[Dict[str, str]]:
@@ -123,8 +108,7 @@ def _split(path: str) -> Tuple[str, ...]:
 
 
 class Router:
-    """A method+path dispatch table with parameter capture and
-    deprecated aliases."""
+    """A method+path dispatch table with parameter capture."""
 
     def __init__(self) -> None:
         self._rules: List[_Rule] = []
@@ -132,26 +116,7 @@ class Router:
     def add(self, method: str, pattern: str,
             handler: Callable) -> None:
         """Register ``handler`` under ``(method, pattern)``."""
-        self._rules.append(_Rule(method, pattern, handler,
-                                 deprecated=False, canonical=pattern))
-
-    def alias(self, method: str, pattern: str, canonical: str,
-              deprecated: bool = True) -> None:
-        """Register ``pattern`` as an alias of the already-registered
-        ``(method, canonical)`` route.
-
-        The alias shares the canonical route's handler object, so both
-        names produce byte-identical response bodies by construction.
-        """
-        for rule in self._rules:
-            if rule.method == method.upper() and \
-                    rule.pattern == canonical:
-                self._rules.append(_Rule(
-                    method, pattern, rule.handler,
-                    deprecated=deprecated, canonical=canonical))
-                return
-        raise LookupError(
-            f"no canonical route {method} {canonical!r} to alias")
+        self._rules.append(_Rule(method, pattern, handler))
 
     def resolve(self, method: str, path: str) -> Route:
         """Match ``(method, path)`` to a :class:`Route`.
@@ -169,15 +134,8 @@ class Router:
             if params is None:
                 continue
             if rule.method == method.upper():
-                return Route(rule.handler, params, rule.pattern,
-                             rule.deprecated, rule.canonical)
+                return Route(rule.handler, params, rule.pattern)
             allowed.append(rule.method)
         if allowed:
             raise MethodNotAllowed(method, clean, allowed)
         raise RouteNotFound(clean)
-
-    def routes(self) -> List[Tuple[str, str, bool]]:
-        """Every registered ``(method, pattern, deprecated)`` triple —
-        for docs and ``/v1/health`` introspection."""
-        return [(r.method, r.pattern, r.deprecated)
-                for r in self._rules]

@@ -16,9 +16,7 @@ Subcommands:
 * ``serve`` — the versioned HTTP service (``repro.diagnosis.server``):
   ``--dictionary NAME=PATH`` (repeatable; PATH is a dictionary JSON
   file or a campaign store root) builds the registry, ``--db`` attaches
-  the persistent results backend.  The old single ``--dictionary PATH``
-  form still works, registered under the name ``default``, with a
-  deprecation warning.
+  the persistent results backend.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -41,8 +38,7 @@ from .build import build_dictionary, build_from_store
 from .db import DiagnosisDB, DiagnosisDBError
 from .dictionary import DictionaryError, FaultDictionary
 from .match import DictionaryMatcher, EmptyDictionaryError
-from .registry import (DEFAULT_NAME, DictionaryRegistry,
-                       RegistryError)
+from .registry import DictionaryRegistry, RegistryError
 
 
 def _add_build(sub) -> None:
@@ -110,12 +106,10 @@ def _add_serve(sub) -> None:
     p = sub.add_parser("serve", help="versioned HTTP diagnosis "
                                      "service")
     p.add_argument("--dictionary", action="append", default=None,
-                   metavar="[NAME=]PATH", required=True,
+                   metavar="NAME=PATH", required=True,
                    help="serve the dictionary at PATH under NAME "
                         "(repeatable; PATH is a dictionary JSON file "
-                        "or a campaign store root).  Bare PATH is the "
-                        "deprecated single-dictionary form, "
-                        "registered as 'default'")
+                        "or a campaign store root)")
     p.add_argument("--default", default=None, metavar="NAME",
                    help="dictionary served when a request names none "
                         "(default: the first --dictionary)")
@@ -332,30 +326,15 @@ def _report(args) -> int:
 
 def parse_dictionary_specs(values: Sequence[str]
                            ) -> List[Tuple[str, str]]:
-    """``[NAME=]PATH`` flags -> ``(name, path)`` pairs.
-
-    A bare ``PATH`` is the deprecated pre-registry form: the first one
-    is registered under ``"default"`` (matching the old single-
-    dictionary server), later ones under their file stem, each with a
-    :class:`DeprecationWarning`.
-    """
+    """``NAME=PATH`` flags -> ``(name, path)`` pairs."""
     specs: List[Tuple[str, str]] = []
     taken = set()
     for value in values:
-        if "=" in value:
-            name, path = value.split("=", 1)
-            name = name.strip()
-            if not name or not path:
-                raise RegistryError(
-                    f"--dictionary {value!r}: expected NAME=PATH")
-        else:
-            path = value
-            name = DEFAULT_NAME if DEFAULT_NAME not in taken \
-                else Path(value).stem
-            warnings.warn(
-                f"bare --dictionary {value!r} is deprecated; use "
-                f"--dictionary {name}={value}", DeprecationWarning,
-                stacklevel=2)
+        name, sep, path = value.partition("=")
+        name = name.strip()
+        if not sep or not name or not path:
+            raise RegistryError(
+                f"--dictionary {value!r}: expected NAME=PATH")
         if name in taken:
             raise RegistryError(
                 f"--dictionary name {name!r} given twice")
@@ -442,7 +421,7 @@ def _serve(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     server = serve(registry=registry, host=args.host, port=args.port,
-                   top_k=args.top_k, verbose=args.verbose, db=db)
+                   verbose=args.verbose, db=db)
     host, port = server.server_address[:2]
     names = ", ".join(registry.names())
     print(f"serving dictionaries [{names}] on http://{host}:{port} "

@@ -276,8 +276,7 @@ def _worker_main(config: WorkerConfig, cmd_conn, fwd_conn,
         for name, source in config.history:
             registry.reload(name, source=source)
         db = DiagnosisDB(config.db_path) if config.db_path else None
-        server = serve(registry=registry, top_k=config.top_k,
-                       verbose=config.verbose, db=db,
+        server = serve(registry=registry, verbose=config.verbose, db=db,
                        bind_and_activate=False)
         sock = listener if listener is not None else \
             _reuseport_socket(config.address)

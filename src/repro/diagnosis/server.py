@@ -6,10 +6,6 @@ Pure ``http.server`` — no framework dependency — but production-shaped:
   ``/v1/dictionaries``, ``/v1/dictionaries/<name>``,
   ``POST /v1/dictionaries/<name>/reload`` and ``POST /v1/diagnose``,
   dispatched through one :class:`~repro.core.router.Router` table.
-  The legacy unversioned names (``/diagnose``, ``/health``,
-  ``/metrics``) are deprecated aliases of the same handler entries —
-  byte-identical bodies by construction, plus a ``Deprecation``
-  response header.
 * **Uniform errors.**  Every failure is
   ``{"error": {"code": ..., "message": ...}}``: malformed bodies 400,
   unknown paths 404, a known path under the wrong verb 405 (with
@@ -43,7 +39,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
@@ -55,14 +50,8 @@ from ..core.router import (MethodNotAllowed, RouteNotFound, Router,
                            error_envelope)
 from ..core.serialize import SerializeError, record_from_dict
 from .db import DiagnosisDB
-from .dictionary import FaultDictionary
-from .match import DictionaryMatcher
-from .registry import (DEFAULT_NAME, DictionaryRegistry, RegistryError,
+from .registry import (DictionaryRegistry, RegistryError,
                        UnknownDictionaryError)
-
-#: where the deprecation policy for the unversioned aliases lives
-#: (sent in the ``Link`` header next to ``Deprecation``)
-DEPRECATION_DOC = "docs/DIAGNOSIS.md"
 
 
 class ApiError(Exception):
@@ -165,36 +154,21 @@ class DiagnosisServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address: Tuple[str, int],
-                 registry: Optional[DictionaryRegistry] = None,
-                 dictionary: Optional[FaultDictionary] = None,
-                 top_k: int = 5,
+                 registry: DictionaryRegistry,
                  bus: Optional[EventBus] = None,
                  db: Optional[DiagnosisDB] = None,
                  bind_and_activate: bool = True) -> None:
-        if (registry is None) == (dictionary is None):
-            raise ValueError(
-                "DiagnosisServer needs exactly one of registry= or "
-                "dictionary= (dictionary= is the deprecated "
-                "single-dictionary form)")
         super().__init__(address, _Handler,
                          bind_and_activate=bind_and_activate)
-        if registry is None:
-            warnings.warn(
-                "DiagnosisServer(dictionary=...) is deprecated; "
-                "build a DictionaryRegistry and pass registry=",
-                DeprecationWarning, stacklevel=2)
-            registry = DictionaryRegistry(top_k=top_k, bus=bus)
-            registry.register(DEFAULT_NAME, dictionary=dictionary)
         self.registry = registry
         self.bus = bus or registry.bus or EventBus()
         self.db = db
         self.collector = DiagnosisMetricsCollector()
         self.bus.subscribe(self.collector)
         # uptime is measured on the monotonic clock (immune to NTP
-        # steps); started/started_at is the wall-clock birth stamp
+        # steps); started_at is the wall-clock birth stamp
         self._started_monotonic = time.monotonic()
         self.started_at = time.time()
-        self.started = self.started_at  # legacy alias
         #: fleet hook: when set, metrics and reload requests act
         #: fleet-wide through the supervisor's control channel
         self.controller: Optional["FleetController"] = None
@@ -269,33 +243,14 @@ class DiagnosisServer(ThreadingHTTPServer):
         router.add("POST", "/v1/dictionaries/<name>/reload",
                    self._h_reload)
         router.add("POST", "/v1/diagnose", self._h_diagnose)
-        # deprecated unversioned aliases: same handler objects, so
-        # the bodies cannot drift from their /v1/ equivalents
-        router.alias("GET", "/health", "/v1/health")
-        router.alias("GET", "/metrics", "/v1/metrics")
-        router.alias("POST", "/diagnose", "/v1/diagnose")
         return router
-
-    # -- legacy attribute surface ------------------------------------------
-
-    @property
-    def dictionary(self) -> FaultDictionary:
-        """The default dictionary (deprecated single-dictionary
-        view)."""
-        return self.registry.get().dictionary
-
-    @property
-    def matcher(self) -> Optional[DictionaryMatcher]:
-        """The default dictionary's matcher, or None when empty
-        (deprecated single-dictionary view)."""
-        return self.registry.get().matcher
 
     # -- accounting ---------------------------------------------------------
 
-    def count_request(self, canonical: str, status: int) -> None:
+    def count_request(self, route: str, status: int) -> None:
         with self._counts_lock:
-            self._route_counts[canonical] = \
-                self._route_counts.get(canonical, 0) + 1
+            self._route_counts[route] = \
+                self._route_counts.get(route, 0) + 1
             key = str(status)
             self._status_counts[key] = \
                 self._status_counts.get(key, 0) + 1
@@ -514,8 +469,6 @@ class _Handler(BaseHTTPRequestHandler):
             self.server.connection_closed()
 
     def _reply(self, status: int, payload: dict,
-               deprecated: bool = False,
-               canonical: Optional[str] = None,
                allow: Optional[Tuple[str, ...]] = None) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
@@ -526,14 +479,6 @@ class _Handler(BaseHTTPRequestHandler):
             # the drain completes instead of waiting out keep-alive
             self.send_header("Connection", "close")
             self.close_connection = True
-        if deprecated:
-            self.send_header("Deprecation", "true")
-            if canonical:
-                self.send_header(
-                    "Link", f'<{canonical}>; '
-                            f'rel="successor-version", '
-                            f'<{DEPRECATION_DOC}>; '
-                            f'rel="deprecation"')
         if allow:
             self.send_header("Allow", ", ".join(allow))
         self.end_headers()
@@ -567,9 +512,8 @@ class _Handler(BaseHTTPRequestHandler):
             status = 500
             payload = error_envelope(
                 "internal", f"{type(exc).__name__}: {exc}")
-        server.count_request(route.canonical, status)
-        self._reply(status, payload, deprecated=route.deprecated,
-                    canonical=route.canonical)
+        server.count_request(route.pattern, status)
+        self._reply(status, payload)
 
     def do_GET(self) -> None:  # noqa: N802 — stdlib contract
         self._dispatch("GET")
@@ -578,36 +522,20 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
 
-def serve(dictionary: Optional[FaultDictionary] = None,
+def serve(registry: DictionaryRegistry,
           host: str = "127.0.0.1",
-          port: int = 8095, top_k: int = 5,
+          port: int = 8095,
           bus: Optional[EventBus] = None,
           verbose: bool = False,
-          registry: Optional[DictionaryRegistry] = None,
           db: Optional[DiagnosisDB] = None,
           bind_and_activate: bool = True) -> DiagnosisServer:
-    """Build a bound (not yet serving) server; callers run
+    """Build a bound (not yet serving) server over ``registry`` (many
+    named dictionaries, hot-reload, lazy sources); callers run
     ``serve_forever()`` themselves — tests drive it from a thread,
     the CLI blocks on it.
-
-    Pass ``registry=`` (many named dictionaries, hot-reload, lazy
-    sources).  The old ``serve(dictionary)`` single-dictionary form
-    still works but is deprecated: it wraps the dictionary in a
-    one-entry registry under the name ``"default"`` and warns.
     """
-    if dictionary is not None:
-        if registry is not None:
-            raise ValueError(
-                "pass either registry= or the deprecated "
-                "dictionary=, not both")
-        warnings.warn(
-            "serve(dictionary) is deprecated; build a "
-            "DictionaryRegistry and pass registry=",
-            DeprecationWarning, stacklevel=2)
-        registry = DictionaryRegistry(top_k=top_k, bus=bus)
-        registry.register(DEFAULT_NAME, dictionary=dictionary)
     server = DiagnosisServer((host, port), registry=registry,
-                             top_k=top_k, bus=bus, db=db,
+                             bus=bus, db=db,
                              bind_and_activate=bind_and_activate)
     _Handler.verbose = verbose
     return server

@@ -12,9 +12,8 @@ All transients go through the batched MNA kernel
 (:func:`~repro.circuit.batch.transient_lanes`): the good-space corner
 sweep and a fault class's variant runs are structurally identical
 circuits differing only in source values and device parameters, so they
-solve as one stacked Newton iteration.  Lanes the kernel cannot finish
-re-run scalar, keeping every measurement bit-identical to an all-scalar
-run (see ``docs/ENGINE.md``).
+solve as one stacked Newton iteration.  A lane the kernel cannot finish
+reports a ``ConvergenceError`` (see ``docs/ENGINE.md``).
 """
 
 from __future__ import annotations
@@ -72,10 +71,10 @@ class EngineConfig:
             never consults; False forces the exhaustive schedule.
         solver: linear backend for the kernel (see
             :data:`~repro.circuit.backend.SOLVERS`).  ``auto`` and
-            ``dense`` name the same stacked LAPACK kernel, bit-identical
-            to the scalar reference path; ``sparse`` trades bit
-            identity for full-chip-scale wall-clock (results agree
-            within Newton tolerance, with per-lane dense fallback).
+            ``dense`` name the same stacked LAPACK kernel; ``sparse``
+            trades bit identity for full-chip-scale wall-clock (results
+            agree within Newton tolerance, and a lane that fails on it
+            retries on the dense program).
     """
 
     dt: float = 1e-9
@@ -169,7 +168,7 @@ class ComparatorFaultEngine:
 
         Builds one testbench per run; structurally identical lanes (the
         corner sweep, a class's model variants) stack into one batched
-        transient, the rest run scalar.  When ``config.warm_start`` and
+        transient, the rest run as one-lane groups.  When ``config.warm_start`` and
         a baseline trajectory exists, every lane's Newton solves are
         seeded from the good-circuit solution.
         """
@@ -203,8 +202,7 @@ class ComparatorFaultEngine:
     def _measure_runs(self, runs: Sequence[_Run]) -> List[Measurement]:
         """Measure a batch of runs through the batched kernel.
 
-        A lane that fails to converge measures as unresolved, exactly
-        as the scalar path reported it.
+        A lane that fails to converge measures as unresolved.
         """
         tbs, outcomes = self._transients(runs)
         measurements = []

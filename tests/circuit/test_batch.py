@@ -1,14 +1,19 @@
 """Tests for the batched MNA kernel.
 
-The kernel's contract is *bit-identity*: a batched run produces exactly
-the bytes the scalar solver (:func:`transient` / :func:`operating_point`
-called lane by lane) would, for every lane, including which lanes fail
+The kernel's contract is *bit-identity* with the scalar Newton ladder
+kept in :mod:`scalar_reference` (the oracle): a batched run produces
+exactly the bytes the oracle's ``transient`` / ``operating_point``
+called lane by lane would, for every lane, including which lanes fail
 and with what error.  These tests exercise that contract on linear
 lanes (property-based), on the real nonlinear comparator testbench, on
-mixed-structure lane sets, on a sabotaged kernel (scalar fallback), and
-at the assembly level (compiled contribution program vs each lane's
-scalar :meth:`MNASystem.assemble`).
+one-lane groups, on mixed-structure lane sets, on lanes that fail, on
+concurrent callers, and at the assembly level (compiled contribution
+program vs each lane's :meth:`MNASystem.assemble`).
 """
+
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +35,8 @@ from repro.circuit.batch import _BatchProgram
 from repro.circuit.dc import ConvergenceError
 from repro.circuit.mna import MNASystem, StampContext
 from repro.circuit.transient import TransientResult
+
+from . import scalar_reference
 
 NMOS = MosParams(kp=60e-6, vto=0.7, lam=0.05, gamma=0.4, phi=0.6,
                  cox=1.7e-3, cov=3e-10)
@@ -85,16 +92,32 @@ def nine_type_lane(k):
     return c
 
 
-def scalar_lanes(circuits, **kwargs):
-    """The scalar reference: :func:`transient` lane by lane, a failing
-    lane yielding the ConvergenceError it raises."""
+def clash_lane(v2=2.0):
+    """Two parallel voltage sources of different value: no operating
+    point exists, so every rung of the DC ladder fails."""
+    c = Circuit("clash")
+    c.add(VoltageSource("V1", "a", "gnd", 1.0))
+    c.add(VoltageSource("V2", "a", "gnd", v2))
+    c.add(Resistor("R1", "a", "gnd", 1e3))
+    c.add(Capacitor("C1", "a", "gnd", 1e-12))
+    return c
+
+
+def oracle(solve, circuits, **kwargs):
+    """The oracle's *solve* lane by lane, a failing lane yielding the
+    ConvergenceError it raises."""
     out = []
     for c in circuits:
         try:
-            out.append(transient(c, **kwargs))
+            out.append(solve(c, **kwargs))
         except ConvergenceError as exc:
             out.append(exc)
     return out
+
+
+def scalar_lanes(circuits, **kwargs):
+    """The oracle's :func:`transient` lane by lane."""
+    return oracle(scalar_reference.transient, circuits, **kwargs)
 
 
 def assert_lanes_identical(batched, scalar):
@@ -104,9 +127,12 @@ def assert_lanes_identical(batched, scalar):
             assert isinstance(b, ConvergenceError)
             assert str(b) == str(s)
             continue
-        assert isinstance(b, TransientResult)
-        assert b.times.tobytes() == s.times.tobytes()
-        assert b.xs.tobytes() == s.xs.tobytes()
+        assert not isinstance(b, ConvergenceError), str(b)
+        if isinstance(s, TransientResult):
+            assert b.times.tobytes() == s.times.tobytes()
+            assert b.xs.tobytes() == s.xs.tobytes()
+        else:
+            assert b.x.tobytes() == s.x.tobytes()
 
 
 class TestLinearLanesBitIdentical:
@@ -166,6 +192,18 @@ class TestNonlinearLanesBitIdentical:
                               fine_windows=windows)
         assert_lanes_identical(batched, scalar)
 
+    def test_one_lane_comparator(self):
+        """A one-lane group runs on the same program: ``transient`` and
+        ``transient_lanes`` of one comparator testbench both match the
+        oracle."""
+        circuit = build_testbench(vin=2.6, vref=2.5).circuit
+        windows = regeneration_windows(CLOCK_PERIOD, 1)
+        kwargs = dict(tstop=CLOCK_PERIOD, dt=1e-9, fine_windows=windows)
+        scalar = scalar_lanes([circuit], **kwargs)
+        assert_lanes_identical(transient_lanes([circuit], **kwargs),
+                               scalar)
+        assert_lanes_identical([transient(circuit, **kwargs)], scalar)
+
 
 class TestConvergenceMasking:
     def test_stiff_lane_masks_independently(self):
@@ -179,9 +217,10 @@ class TestConvergenceMasking:
         scalar = scalar_lanes(circuits, tstop=1e-4, dt=1e-6)
         assert_lanes_identical(batched, scalar)
 
-    def test_failed_lane_falls_back_to_scalar(self, monkeypatch):
-        """A lane the kernel gives up on is re-run scalar, so the
-        batched output still equals the all-scalar output."""
+    def test_failed_lane_reports_convergence_error(self, monkeypatch):
+        """A lane the kernel gives up on reports its ConvergenceError
+        (there is no second solver to retry it on), and the lanes
+        beside it stay identical to the oracle."""
         real = batch_mod._solve_timepoint_batch
 
         def sabotaged(program, system, X_prev, t, h, method,
@@ -197,8 +236,25 @@ class TestConvergenceMasking:
         circuits = [rc_lane(1e3, 1e-7, a) for a in (1.0, 2.0, -1.0)]
         batched = transient_lanes(circuits, tstop=1e-4, dt=1e-6)
         scalar = scalar_lanes(circuits, tstop=1e-4, dt=1e-6)
-        assert all(isinstance(b, TransientResult) for b in batched)
-        assert_lanes_identical(batched, scalar)
+        assert isinstance(batched[0], ConvergenceError)
+        assert str(batched[0]) == \
+            "transient failed at t=1.000e-06 for circuit 'rc'"
+        assert_lanes_identical(batched[1:], scalar[1:])
+
+    def test_failing_group_matches_oracle(self):
+        """Lanes with no operating point fail in the kernel exactly
+        where and how they fail in the oracle, DC and transient."""
+        circuits = [clash_lane(2.0), clash_lane(3.0)]
+        lanes = operating_point_lanes(circuits)
+        scalar = oracle(scalar_reference.operating_point, circuits)
+        assert_lanes_identical(lanes, scalar)
+        assert str(lanes[0]) == ("source stepping failed at scale=0.05 "
+                                 "for circuit 'clash'")
+        assert_lanes_identical(
+            transient_lanes(circuits, tstop=1e-9, dt=1e-10),
+            scalar_lanes(circuits, tstop=1e-9, dt=1e-10))
+        with pytest.raises(ConvergenceError, match="scale=0.05"):
+            operating_point(circuits[0])
 
 
 class TestLaneGrouping:
@@ -230,10 +286,53 @@ class TestOperatingPointLanes:
                     inverter_lane(nmos=NMOS.scaled(kp_scale=1.2,
                                                    vto_shift=-0.05)),
                     inverter_lane(load=1e-13)]
-        lanes = operating_point_lanes(circuits)
-        for c, lane in zip(circuits, lanes):
-            ref = operating_point(c)
-            assert lane.x.tobytes() == ref.x.tobytes()
+        assert_lanes_identical(
+            operating_point_lanes(circuits),
+            oracle(scalar_reference.operating_point, circuits))
+
+    def test_one_lane_dc(self):
+        """``operating_point`` is a one-lane group of the program."""
+        circuit = build_testbench(vin=2.6, vref=2.5).circuit
+        scalar = oracle(scalar_reference.operating_point, [circuit])
+        assert_lanes_identical(operating_point_lanes([circuit]), scalar)
+        assert_lanes_identical([operating_point(circuit)], scalar)
+
+
+class TestConcurrentCallers:
+    def test_threads_match_serial(self):
+        """Threads solving same-shaped groups at once get the bytes of
+        serial runs: no solve shares matrix buffers with another."""
+        nthreads = (os.cpu_count() or 1) + 2
+
+        def lanes(i):
+            return [inverter_lane(load=50e-15 * (1 + i)),
+                    inverter_lane(nmos=NMOS.scaled(kp_scale=1 + 0.1 * i))]
+
+        def run(i):
+            return transient_lanes(lanes(i), tstop=20e-9, dt=0.1e-9)
+
+        serial = [run(i) for i in range(nthreads)]
+        threaded = {}
+
+        def work(i):
+            threaded[i] = [run(i) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,),
+                                        daemon=True)
+                       for i in range(nthreads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i in range(nthreads):
+            for rerun in threaded[i]:
+                assert_lanes_identical(rerun, serial[i])
 
 
 def comparator_lanes():
@@ -319,3 +418,9 @@ class TestProgramAssembly:
         system = BatchedMNASystem(compiled, 2)
         with pytest.raises(BatchUnsupported):
             _BatchProgram([c, c], system, tran=False)
+        # the entry points raise it too: there is no second solver
+        for lanes in ([c], [c, c]):
+            with pytest.raises(BatchUnsupported):
+                operating_point_lanes(lanes)
+            with pytest.raises(BatchUnsupported):
+                transient_lanes(lanes, tstop=1e-9, dt=1e-10)

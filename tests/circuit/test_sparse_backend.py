@@ -16,7 +16,8 @@ from repro.circuit import backend
 from repro.circuit.backend import (HAVE_SPARSE, SOLVERS, SparsePattern,
                                    resolve_solver)
 from repro.circuit.batch import (SparseBatchedMNASystem, _BatchProgram,
-                                 transient_batch, transient_lanes)
+                                 operating_point_lanes, transient_batch,
+                                 transient_lanes)
 from repro.circuit.elements import Resistor, VoltageSource
 from repro.circuit.mosfet import Mosfet
 from repro.circuit.netlist import Circuit
@@ -160,6 +161,27 @@ class TestSparseFallback:
         np.testing.assert_allclose(np.array(fallback.xs),
                                    np.array(baseline.xs),
                                    atol=1e-6)
+
+    def test_failed_sparse_lane_retries_on_dense_program(self,
+                                                         monkeypatch):
+        """A lane that fails to converge on ``sparse`` is solved again
+        on its own on the dense program, so the entry points report
+        exactly the dense result for it."""
+        lanes = [_inverter_pair(), _inverter_pair()]
+        dense = transient_lanes(lanes, tstop=2e-9, dt=1e-9,
+                                solver="dense")
+        dense_dc = operating_point_lanes(lanes, solver="dense")
+        monkeypatch.setattr(
+            SparseBatchedMNASystem, "solve_stack",
+            lambda self, program, active: (
+                np.zeros_like(self.b), np.zeros(self.nlanes, bool)))
+        for got, want in zip(transient_lanes(lanes, tstop=2e-9, dt=1e-9,
+                                             solver="sparse"), dense):
+            assert got.xs.tobytes() == want.xs.tobytes()
+        for got, want in zip(operating_point_lanes(lanes,
+                                                   solver="sparse"),
+                             dense_dc):
+            assert got.x.tobytes() == want.x.tobytes()
 
 
 class TestPhaseTimers:

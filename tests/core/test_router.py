@@ -22,8 +22,7 @@ class TestResolve:
         route = _router().resolve("GET", "/v1/health")
         assert route.handler() == "health"
         assert route.params == {}
-        assert route.deprecated is False
-        assert route.canonical == "/v1/health"
+        assert route.pattern == "/v1/health"
 
     def test_param_capture(self):
         route = _router().resolve("GET", "/v1/dictionaries/adc")
@@ -68,29 +67,6 @@ class TestResolve:
         with pytest.raises(MethodNotAllowed) as excinfo:
             _router().resolve("GET", "/v1/diagnose")
         assert excinfo.value.allowed == ("POST",)
-
-
-class TestAliases:
-    def test_alias_shares_the_handler_object(self):
-        router = _router()
-        router.alias("GET", "/health", "/v1/health")
-        canonical = router.resolve("GET", "/v1/health")
-        alias = router.resolve("GET", "/health")
-        assert alias.handler is canonical.handler
-        assert alias.deprecated is True
-        assert alias.canonical == "/v1/health"
-        assert canonical.deprecated is False
-
-    def test_alias_of_unregistered_route_fails(self):
-        with pytest.raises(LookupError):
-            _router().alias("GET", "/nope", "/v1/nope")
-
-    def test_routes_lists_deprecation(self):
-        router = _router()
-        router.alias("GET", "/health", "/v1/health")
-        routes = router.routes()
-        assert ("GET", "/v1/health", False) in routes
-        assert ("GET", "/health", True) in routes
 
 
 class TestErrorEnvelope:

@@ -92,17 +92,9 @@ class TestDictionarySpecs:
         assert specs == [("adc", dictionary_path),
                          ("dac", dictionary_path)]
 
-    def test_bare_path_is_deprecated_default(self, dictionary_path):
-        with pytest.warns(DeprecationWarning):
-            specs = parse_dictionary_specs([dictionary_path])
-        assert specs == [("default", dictionary_path)]
-
-    def test_second_bare_path_uses_file_stem(self, dictionary_path):
-        with pytest.warns(DeprecationWarning):
-            specs = parse_dictionary_specs([dictionary_path,
-                                            dictionary_path])
-        assert specs[0][0] == "default"
-        assert specs[1][0] == "dict"
+    def test_bare_path_is_rejected(self, dictionary_path):
+        with pytest.raises(RegistryError, match="expected NAME=PATH"):
+            parse_dictionary_specs([dictionary_path])
 
     def test_duplicate_names_rejected(self, dictionary_path):
         with pytest.raises(RegistryError):

@@ -1,8 +1,7 @@
 """End-to-end service tests: registry -> serve -> query over a socket.
 
-Covers the v1 routes, the JSON error envelope, the deprecated
-unversioned aliases (byte-identical bodies, ``Deprecation`` header)
-and the reload endpoint.
+Covers the v1 routes, the JSON error envelope, the retired
+unversioned names (plain 404s) and the reload endpoint.
 """
 
 import json
@@ -59,12 +58,11 @@ def _other_dictionary():
     return compile_dictionary(labeled)
 
 
-def _start(registry=None, db=None, dictionary=None):
-    if registry is None and dictionary is None:
+def _start(registry=None, db=None):
+    if registry is None:
         registry = DictionaryRegistry()
         registry.register("adc", dictionary=_build_dictionary())
-    srv = serve(registry=registry, dictionary=dictionary, port=0,
-                db=db)
+    srv = serve(registry=registry, port=0, db=db)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     return srv, thread
@@ -116,8 +114,8 @@ class TestEndToEnd:
         assert payload["dictionaries"][0]["name"] == "adc"
 
     def test_diagnose_query_vectors(self, server):
-        queries = [list(e.vector)
-                   for e in server.dictionary.entries]
+        entries = server.registry.get().dictionary.entries
+        queries = [list(e.vector) for e in entries]
         status, payload, _ = _post(
             server, "/v1/diagnose",
             json.dumps({"queries": queries}).encode())
@@ -126,8 +124,7 @@ class TestEndToEnd:
         assert payload["version"] == 1
         diagnoses = payload["diagnoses"]
         assert len(diagnoses) == 2
-        for entry, diagnosis in zip(server.dictionary.entries,
-                                    diagnoses):
+        for entry, diagnosis in zip(entries, diagnoses):
             assert diagnosis["verdict"] == "matched"
             assert diagnosis["candidates"][0]["label"] == entry.label
 
@@ -210,6 +207,10 @@ class TestErrorEnvelope:
         assert status == 404
         assert payload["error"]["code"] == "not_found"
         assert _post(server, "/v1/nope", b"{}")[0] == 404
+        # the retired unversioned names are unknown paths too
+        for path in ("/health", "/metrics"):
+            assert _get(server, path)[0] == 404
+        assert _post(server, "/diagnose", b"{}")[0] == 404
 
     def test_wrong_method_is_405_with_allow(self, server):
         status, payload, headers = _get(server, "/v1/diagnose")
@@ -230,46 +231,19 @@ class TestErrorEnvelope:
 
 
 class TestLegacyAliases:
-    """The unversioned routes are deprecated aliases of /v1/."""
-
-    def test_bodies_are_byte_identical(self, server):
-        for legacy, v1 in (("/health", "/v1/health"),
-                           ("/metrics", "/v1/metrics")):
-            _, legacy_payload, _ = _get(server, legacy)
-            _, v1_payload, _ = _get(server, v1)
-            # the metrics payload carries counters that move between
-            # calls; compare the stable shape keys instead for it
-            if legacy == "/health":
-                assert legacy_payload == v1_payload
-            else:
-                assert set(legacy_payload) == set(v1_payload)
-        body = json.dumps(
-            {"queries": [list(e.vector)
-                         for e in server.dictionary.entries]}
-            ).encode()
-        _, legacy_payload, _ = _post(server, "/diagnose", body)
-        _, v1_payload, _ = _post(server, "/v1/diagnose", body)
-        assert json.dumps(legacy_payload, sort_keys=True) == \
-            json.dumps(v1_payload, sort_keys=True)
-
-    def test_legacy_routes_send_deprecation_header(self, server):
-        for path in ("/health", "/metrics"):
-            _, _, headers = _get(server, path)
-            assert headers.get("Deprecation") == "true"
-            assert "successor-version" in headers.get("Link", "")
-        _, _, headers = _post(
-            server, "/diagnose",
-            json.dumps({"queries": [[0.0] * N]}).encode())
-        assert headers.get("Deprecation") == "true"
+    """The unversioned names (``/diagnose``, ``/health``,
+    ``/metrics``) are no longer routes; nothing is deprecated."""
 
     def test_v1_routes_are_not_deprecated(self, server):
         _, _, headers = _get(server, "/v1/health")
         assert "Deprecation" not in headers
 
     def test_legacy_errors_share_the_envelope(self, server):
-        status, payload, _ = _post(server, "/diagnose", b"{not json")
-        assert status == 400
-        assert payload["error"]["code"] == "bad_request"
+        status, payload, headers = _post(server, "/diagnose",
+                                         b"{not json")
+        assert status == 404
+        assert payload["error"]["code"] == "not_found"
+        assert "Deprecation" not in headers
 
 
 class TestReloadEndpoint:
@@ -339,31 +313,11 @@ class TestResultsBackend:
             reopened.close()
 
 
-class TestDeprecatedSingleDictionaryForm:
-    def test_serve_dictionary_warns_and_works(self):
-        with pytest.warns(DeprecationWarning):
-            srv = serve(_build_dictionary(), port=0)
-        thread = threading.Thread(target=srv.serve_forever,
-                                  daemon=True)
-        thread.start()
-        try:
-            status, payload, _ = _get(srv, "/v1/health")
-            assert status == 200
-            assert payload["default"] == "default"
-            assert payload["classes"] == 2
-        finally:
-            srv.shutdown()
-            srv.server_close()
-            thread.join(timeout=5)
-
-
 class TestEmptyDictionary:
     def test_diagnose_answers_503_health_stays_up(self):
-        with pytest.warns(DeprecationWarning):
-            srv = serve(compile_dictionary([]), port=0)
-        thread = threading.Thread(target=srv.serve_forever,
-                                  daemon=True)
-        thread.start()
+        registry = DictionaryRegistry()
+        registry.register("adc", dictionary=compile_dictionary([]))
+        srv, thread = _start(registry=registry)
         try:
             status, payload, _ = _post(
                 srv, "/v1/diagnose",
