@@ -5,12 +5,14 @@ as designed, once with both DfT measures (flipflop leak removed, bias
 lines separated) — and prints the coverage improvement plus the
 chip-level sampling-phase IVdd window, whose shrinkage is the mechanism.
 
-Takes a few minutes.  Usage::
+Takes about half a minute on a 2-core host.  Usage::
 
     python examples/dft_improvement.py
 """
 
-from repro.core import DefectOrientedTestPath, PathConfig, render_fig4
+from repro.campaign import get_engine
+from repro.campaign.plan import comparator_spec
+from repro.core import DefectOrientedTestPath, PathConfig
 from repro.macrotest import macro_breakdown
 from repro.testgen import FULL_DFT, NO_DFT
 
@@ -18,9 +20,10 @@ from repro.testgen import FULL_DFT, NO_DFT
 def run(dft):
     config = PathConfig(n_defects=8000, max_classes=25,
                         include_noncat=False, dft=dft)
-    path = DefectOrientedTestPath(config)
-    analysis = path.analyze_comparator()
-    window = path.comparator_engine().good_space().windows[
+    analysis = DefectOrientedTestPath(config).run(
+        ["comparator"]).macros["comparator"]
+    # the comparator engine the run used, good space already compiled
+    window = get_engine(comparator_spec(config)).good_space().windows[
         ("ivdd", "sampling", "above")]
     return analysis, window
 

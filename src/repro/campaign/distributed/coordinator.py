@@ -20,13 +20,16 @@ late, a retried HTTP call) is acknowledged and ignored — safe because
 shard results are deterministic, so duplicates are byte-identical by
 construction.
 
-Every merged class is journaled (crash safety: a restarted
-coordinator with ``--resume`` adopts the merged journal and only
-re-dispatches the remainder), stored (re-run economy: remote results
-are adopted into the coordinator's content-addressed store) and
-emitted as a :class:`~repro.campaign.events.ClassCompleted` event
-(live metrics).  The final result is assembled in plan order, so it
-is byte-identical to a single-host run with the same seed.
+Resolving and recording go through the runner's
+:class:`~repro.campaign.runner.Ledger`, the same rule a single-host
+campaign follows: a restarted coordinator with ``--resume`` adopts
+the merged journal and only re-dispatches the remainder, every merged
+class is journaled (crash safety), and remote simulations that did
+not degrade are adopted into the coordinator's content-addressed
+store (re-run economy).  Each merge is also emitted as a
+:class:`~repro.campaign.events.ClassCompleted` event (live metrics).
+The final result is assembled in plan order, so it is byte-identical
+to a single-host run with the same seed.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -44,9 +47,8 @@ from ...macrotest.coverage import DetectionRecord
 from ..events import (CampaignFinished, CampaignStarted, ClassCompleted,
                       DistributedMetricsCollector, EventBus,
                       ShardClaimed, ShardCompleted, ShardReclaimed)
-from ..journal import CampaignJournal, JournalEntry
 from ..runner import (CampaignOptions, CampaignResult, CampaignRunner,
-                      PreparedCampaign)
+                      Ledger, PreparedCampaign)
 from ..tasks import ClassTask, degraded_record
 from .partition import Shard, partition_tasks
 from .protocol import (CampaignDescriptor, ProtocolError, ReportEntry,
@@ -129,7 +131,7 @@ class Coordinator:
         self._shards: Dict[str, _ShardState] = {}
         self._queue: List[str] = []  # pending shard ids, heaviest first
         self._results: Dict[str, DetectionRecord] = {}
-        self._journal: Optional[CampaignJournal] = None
+        self._ledger: Optional[Ledger] = None
         self._server: Optional["CoordinatorServer"] = None
         self._server_thread: Optional[threading.Thread] = None
         self._workers_seen: set = set()
@@ -149,49 +151,18 @@ class Coordinator:
             if prepared.store is not None:
                 prepared.store.sweep_tmp()
 
-            cache_dir = self.options.resolved_cache_dir()
-            adopted: Dict[str, JournalEntry] = {}
-            if cache_dir is not None:
-                self._journal = CampaignJournal(
-                    cache_dir / "journals" /
-                    f"{prepared.fingerprint[:16]}.jsonl")
-                if self.options.resume:
-                    entries = self._journal.load(prepared.fingerprint)
-                    for task in prepared.tasks:
-                        entry = entries.get(task.task_id)
-                        if entry is not None:
-                            adopted[task.task_id] = entry
-                self._journal.open(
-                    prepared.fingerprint,
-                    fresh=not (self.options.resume and adopted))
+            self._ledger = self.runner.ledger(prepared)
 
             self.bus.emit(CampaignStarted(
                 macros=tuple(p.name for p in prepared.plans) +
                 (("decoder",) if "decoder" in prepared.wanted else ()),
                 total_tasks=len(prepared.tasks), jobs=0,
-                resumed=len(adopted),
+                resumed=len(self._ledger.adopted),
                 total_weight=sum(t.fault_class.count
                                  for t in prepared.tasks)))
 
             # resolve journal + store before sharding anything
-            to_shard: List[ClassTask] = []
-            for task in prepared.tasks:
-                entry = adopted.get(task.task_id)
-                if entry is not None:
-                    record = replace(entry.record,
-                                     count=task.fault_class.count)
-                    self._complete(task, record, "journal",
-                                   error=entry.error
-                                   if entry.degraded else None)
-                    continue
-                if prepared.store is not None:
-                    cached = prepared.store.get(
-                        task.store_key, count=task.fault_class.count)
-                    if cached is not None:
-                        self._complete(task, cached, "cache")
-                        continue
-                to_shard.append(task)
-
+            to_shard = self._ledger.known(prepared.tasks, self._complete)
             for shard in partition_tasks(to_shard,
                                          shard_size=self.shard_size,
                                          n_shards=self.n_shards):
@@ -220,23 +191,12 @@ class Coordinator:
                   error: Optional[str] = None) -> None:
         """Fold one finished class into the campaign (lock held)."""
         self._results[task.task_id] = record
-        is_degraded = error is not None
-        if self._journal is not None and source != "journal":
-            self._journal.append(JournalEntry(
-                task_id=task.task_id, record=record,
-                degraded=is_degraded, error=error, source=source))
-        store = self._prepared.store if self._prepared else None
-        if store is not None and source == "remote" and \
-                not is_degraded:
-            store.put(task.store_key, record,
-                      meta={"task_id": task.task_id,
-                            "macro": task.macro})
+        self._ledger.record(task, record, source, error)
         self.bus.emit(ClassCompleted(
             macro=task.macro, kind=task.kind, index=task.index,
-            source=source, wall=wall, degraded=is_degraded,
+            source=source, wall=wall, degraded=error is not None,
             error=error, done=len(self._results),
-            total=len(self._prepared.tasks) if self._prepared else 0,
-            weight=task.fault_class.count))
+            total=len(self._prepared.tasks), weight=task.fault_class.count))
 
     def _reclaim_expired(self) -> None:
         """Requeue (or degrade) shards whose lease ran out."""
@@ -439,8 +399,7 @@ class Coordinator:
                 analyses = self.runner._assemble(
                     prepared.wanted, prepared.plans, self._results)
             finally:
-                if self._journal is not None:
-                    self._journal.close()
+                self._ledger.close()
         metrics = self.collector.snapshot(
             jobs=max(1, len(self._workers_seen)))
         self.bus.emit(CampaignFinished(metrics=metrics))

@@ -9,13 +9,15 @@ config or code drift between hosts fails loudly before any
 simulation runs.
 
 Each leased shard then runs through ``CampaignRunner.execute`` —
-the exact retry/degrade machinery of a single-host campaign — with
-store cache hits resolved first, an optional local shard journal for
-crash safety (compacted before the results ship), and a heartbeat
-thread extending the lease at a third of its duration.  Reports are
-sent even when the lease was lost meanwhile: ``/report`` is
-idempotent, so a late result is acknowledged and dropped rather than
-double-merged.
+the exact retry/degrade machinery of a single-host campaign — and
+resolves and records through the runner's
+:class:`~repro.campaign.runner.Ledger`: an optional local shard
+journal (always adopted, for crash safety, and compacted before the
+results ship), then the worker's store; simulated records are stored
+with the worker id in their metadata.  A heartbeat thread extends the
+lease at a third of its duration.  Reports are sent even when the
+lease was lost meanwhile: ``/report`` is idempotent, so a late result
+is acknowledged and dropped rather than double-merged.
 
 Timing discipline: the worker never sends a timestamp.  Lease expiry
 lives entirely on the coordinator's monotonic clock, so worker clock
@@ -32,12 +34,11 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..journal import CampaignJournal, JournalEntry
-from ..runner import CampaignOptions, CampaignRunner, PreparedCampaign
+from ..runner import (CampaignOptions, CampaignRunner, Ledger,
+                      PreparedCampaign)
 from ..tasks import ClassTask
 from .protocol import (CampaignDescriptor, ProtocolError, ReportEntry,
                        ShardLease)
@@ -180,13 +181,11 @@ class Worker:
                 f"{missing[:3]}")
         return [tasks_by_id[t] for t in lease.task_ids]
 
-    def _shard_journal(self, lease: ShardLease
-                       ) -> Optional[CampaignJournal]:
+    def _shard_journal(self, lease: ShardLease) -> Optional[Path]:
         if self.cache_dir is None:
             return None
-        return CampaignJournal(
-            self.cache_dir / "journals" /
-            f"shard-{lease.shard_id[:16]}.jsonl")
+        return self.cache_dir / "journals" / \
+            f"shard-{lease.shard_id[:16]}.jsonl"
 
     def execute_shard(self, lease: ShardLease) -> List[ReportEntry]:
         """Run one shard through the single-host execution machinery.
@@ -199,15 +198,9 @@ class Worker:
         class in flight.
         """
         tasks = self._shard_tasks(lease)
-        fingerprint = self.descriptor.fingerprint
-        journal = self._shard_journal(lease)
-        adopted: Dict[str, JournalEntry] = {}
-        if journal is not None:
-            entries = journal.load(fingerprint)
-            adopted = {t.task_id: entries[t.task_id] for t in tasks
-                       if t.task_id in entries}
-            journal.open(fingerprint, fresh=not adopted)
-
+        ledger = Ledger(self._shard_journal(lease),
+                        self.descriptor.fingerprint,
+                        self.prepared.store, adopt=True)
         collected: Dict[str, ReportEntry] = {}
 
         def complete(task: ClassTask, record, source: str,
@@ -215,57 +208,28 @@ class Worker:
                      error: Optional[str] = None,
                      retried: bool = False) -> None:
             degraded = error is not None
-            entry = ReportEntry(
+            collected[task.task_id] = ReportEntry(
                 task_id=task.task_id, record=record,
                 degraded=degraded, error=error, wall=wall,
                 source="cache" if source == "cache" else "remote")
-            collected[task.task_id] = entry
             self.stats["tasks"] += 1
             self.stats["degraded"] += degraded
             if source == "cache":
                 self.stats["cached"] += 1
             elif source == "computed":
                 self.stats["computed"] += 1
-            if journal is not None and source != "journal":
-                journal.append(JournalEntry(
-                    task_id=task.task_id, record=record,
-                    degraded=degraded, error=error, source=source))
-            store = self.prepared.store
-            if store is not None and source == "computed" and \
-                    not degraded:
-                store.put(task.store_key, record,
-                          meta={"task_id": task.task_id,
-                                "macro": task.macro,
-                                "worker": self.worker_id})
+            ledger.record(task, record, source, error,
+                          worker=self.worker_id)
 
         try:
-            to_run: List[ClassTask] = []
-            for task in tasks:
-                entry = adopted.get(task.task_id)
-                if entry is not None:
-                    record = replace(entry.record,
-                                     count=task.fault_class.count)
-                    complete(task, record, "journal",
-                             error=entry.error
-                             if entry.degraded else None)
-                    continue
-                store = self.prepared.store
-                if store is not None:
-                    cached = store.get(task.store_key,
-                                       count=task.fault_class.count)
-                    if cached is not None:
-                        complete(task, cached, "cache")
-                        continue
-                to_run.append(task)
-            self.runner.execute(to_run, complete, jobs=self.jobs,
+            self.runner.execute(ledger.known(tasks, complete), complete,
+                                jobs=self.jobs,
                                 baselines=self.prepared.baselines)
-            if journal is not None:
-                # dedup retried classes so the shipped report and any
-                # crash-recovery adoption read one line per class
-                journal.compact()
+            # dedup retried classes so the shipped report and any
+            # crash-recovery adoption read one line per class
+            ledger.compact()
         finally:
-            if journal is not None:
-                journal.close()
+            ledger.close()
         return [collected[t.task_id] for t in tasks]
 
     # -- protocol loop -----------------------------------------------------
@@ -320,7 +284,7 @@ class Worker:
             # the merge is durable on the coordinator; drop the local
             # crash-safety journal
             try:
-                journal.path.unlink()
+                journal.unlink()
             except OSError:
                 pass
         return answer

@@ -17,6 +17,14 @@
 5. recording: every completion is journaled (crash safety), stored
    (re-run economy) and emitted as an event (live metrics).
 
+Steps 3 and 5 are one rule, kept in one place: the :class:`Ledger`.
+It adopts a journal written for the same campaign fingerprint, then
+takes store hits; it journals every completion not read from the
+journal, and stores only simulated, non-degraded records.  The
+runner, the distributed coordinator and the worker's shard journal
+all resolve and record through it; each keeps only its own
+``complete`` callback (results and events here).
+
 Failure contract: a class whose simulation raises — including worker
 death taking the whole pool down — is retried once, then recorded as a
 *degraded* (counted undetected) result with the error attached.  A
@@ -38,8 +46,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.path import (MacroAnalysis, PathConfig, PathResult)
+from ..core.path import MacroAnalysis, PathConfig, PathResult
+from ..faultsim.macro_engines import DecoderFaultEngine
 from ..macrotest.coverage import DetectionRecord, MacroResult
+from ..macrotest.macro import decoder_area
 from .events import (CampaignFinished, CampaignStarted, ClassCompleted,
                      EventBus, MacroPlanned, MetricsCollector)
 from .journal import CampaignJournal, JournalEntry
@@ -138,6 +148,91 @@ class PreparedCampaign:
     @property
     def tasks_by_id(self) -> Dict[str, ClassTask]:
         return {t.task_id: t for t in self.tasks}
+
+
+class Ledger:
+    """The one rule for resolving and recording finished classes.
+
+    Args:
+        journal_path: the campaign (or shard) journal; None keeps no
+            journal.
+        fingerprint: the campaign identity the journal is bound to.
+        store: the results store; None stores nothing.
+        adopt: read a journal written for ``fingerprint`` back.  A
+            journal that adopts nothing — another campaign's, or any
+            journal when ``adopt`` is False — is truncated.
+
+    :meth:`known` completes what the journal, else the store, holds;
+    :meth:`record` journals every completion not read from the
+    journal and stores only simulated (``"computed"``, or
+    ``"remote"`` as the coordinator books a worker's simulation),
+    non-degraded records.
+    """
+
+    def __init__(self, journal_path: Optional[Path], fingerprint: str,
+                 store: Optional[ResultsStore] = None,
+                 adopt: bool = False) -> None:
+        self.store = store
+        #: journal entries read back, by task id
+        self.adopted: Dict[str, JournalEntry] = {}
+        self._journal: Optional[CampaignJournal] = None
+        if journal_path is not None:
+            self._journal = CampaignJournal(journal_path)
+            if adopt:
+                self.adopted = self._journal.load(fingerprint)
+            self._journal.open(fingerprint, fresh=not self.adopted)
+
+    def known(self, tasks: Sequence[ClassTask], complete
+              ) -> List[ClassTask]:
+        """Complete every task the journal or the store already holds.
+
+        ``complete(task, record, source, error=...)`` receives a task's
+        journal entry (source ``"journal"``; a degraded one with its
+        error) if there is one, else its store object (``"cache"``),
+        re-hydrated with the task's class count.  Returns the
+        remaining tasks in order.
+        """
+        rest = []
+        for task in tasks:
+            count = task.fault_class.count
+            entry = self.adopted.get(task.task_id)
+            if entry is not None:
+                complete(task, replace(entry.record, count=count),
+                         "journal",
+                         error=entry.error if entry.degraded else None)
+                continue
+            if self.store is not None:
+                cached = self.store.get(task.store_key, count=count)
+                if cached is not None:
+                    complete(task, cached, "cache")
+                    continue
+            rest.append(task)
+        return rest
+
+    def record(self, task: ClassTask, record: DetectionRecord,
+               source: str, error: Optional[str] = None,
+               **meta) -> None:
+        """Journal and store one completion; ``meta`` joins the stored
+        object's metadata (the worker adds its id)."""
+        degraded = error is not None
+        if self._journal is not None and source != "journal":
+            self._journal.append(JournalEntry(
+                task_id=task.task_id, record=record, degraded=degraded,
+                error=error, source=source))
+        if self.store is not None and \
+                source in ("computed", "remote") and not degraded:
+            self.store.put(task.store_key, record,
+                           meta={"task_id": task.task_id,
+                                 "macro": task.macro, **meta})
+
+    def compact(self) -> None:
+        """Rewrite the journal down to one line per class."""
+        if self._journal is not None:
+            self._journal.compact()
+
+    def close(self) -> None:
+        if self._journal is not None:
+            self._journal.close()
 
 
 class CampaignRunner:
@@ -297,109 +392,65 @@ class CampaignRunner:
             fingerprint=self.fingerprint(tasks), store=store,
             baselines=baselines)
 
+    def ledger(self, prepared: PreparedCampaign) -> Ledger:
+        """The campaign's ledger: its fingerprint's journal under the
+        cache dir (adopted on ``--resume``) and the prepared store."""
+        cache_dir = self.options.resolved_cache_dir()
+        # one journal per campaign identity: concurrent or
+        # back-to-back campaigns with different configs sharing a
+        # cache dir never clobber each other's checkpoints
+        path = None if cache_dir is None else \
+            Path(cache_dir) / "journals" / \
+            f"{prepared.fingerprint[:16]}.jsonl"
+        return Ledger(path, prepared.fingerprint, prepared.store,
+                      adopt=self.options.resume)
+
     def run(self, macros: Optional[Sequence[str]] = None
             ) -> CampaignResult:
         jobs = self.options.resolved_jobs()
-        cache_dir = self.options.resolved_cache_dir()
         prepared = self.prepare(macros, jobs=jobs)
-        wanted, plans = prepared.wanted, prepared.plans
-        tasks, store = prepared.tasks, prepared.store
-        baselines, fingerprint = prepared.baselines, \
-            prepared.fingerprint
-
-        journal: Optional[CampaignJournal] = None
-        if cache_dir is not None:
-            # one journal per campaign identity: concurrent or
-            # back-to-back campaigns with different configs sharing a
-            # cache dir never clobber each other's checkpoints
-            journal = CampaignJournal(
-                Path(cache_dir) / "journals" /
-                f"{fingerprint[:16]}.jsonl")
-
-        results: Dict[str, DetectionRecord] = {}
-        degraded: Dict[str, str] = {}
-
-        # 1. resume from the journal
-        adopted: Dict[str, JournalEntry] = {}
-        if journal is not None and self.options.resume:
-            entries = journal.load(fingerprint)
-            for task in tasks:
-                entry = entries.get(task.task_id)
-                if entry is not None:
-                    adopted[task.task_id] = entry
-        if journal is not None:
-            journal.open(fingerprint,
-                         fresh=not (self.options.resume and adopted))
+        tasks = prepared.tasks
+        ledger = self.ledger(prepared)
 
         self.bus.emit(CampaignStarted(
-            macros=tuple(p.name for p in plans) +
-            (("decoder",) if "decoder" in wanted else ()),
-            total_tasks=len(tasks), jobs=jobs, resumed=len(adopted),
+            macros=tuple(p.name for p in prepared.plans) +
+            (("decoder",) if "decoder" in prepared.wanted else ()),
+            total_tasks=len(tasks), jobs=jobs,
+            resumed=len(ledger.adopted),
             total_weight=sum(t.fault_class.count for t in tasks)))
 
-        done = 0
-        total = len(tasks)
+        results: Dict[str, DetectionRecord] = {}
 
         def complete(task: ClassTask, record: DetectionRecord,
                      source: str, wall: float = 0.0,
                      error: Optional[str] = None,
                      retried: bool = False) -> None:
-            nonlocal done
-            done += 1
             results[task.task_id] = record
-            is_degraded = error is not None
-            if is_degraded:
-                degraded[task.task_id] = error
-            if journal is not None and source != "journal":
-                journal.append(JournalEntry(
-                    task_id=task.task_id, record=record,
-                    degraded=is_degraded, error=error, source=source))
-            if store is not None and source == "computed" and \
-                    not is_degraded:
-                store.put(task.store_key, record,
-                          meta={"task_id": task.task_id,
-                                "macro": task.macro})
+            ledger.record(task, record, source, error)
             self.bus.emit(ClassCompleted(
                 macro=task.macro, kind=task.kind, index=task.index,
-                source=source, wall=wall, degraded=is_degraded,
-                error=error, retried=retried, done=done, total=total,
-                weight=task.fault_class.count))
+                source=source, wall=wall, degraded=error is not None,
+                error=error, retried=retried, done=len(results),
+                total=len(tasks), weight=task.fault_class.count))
 
-        # 2. resolve journal + store before dispatching
-        to_run: List[_Pending] = []
-        for task in tasks:
-            entry = adopted.get(task.task_id)
-            if entry is not None:
-                record = replace(entry.record,
-                                 count=task.fault_class.count)
-                complete(task, record, "journal", error=entry.error
-                         if entry.degraded else None)
-                continue
-            if store is not None:
-                cached = store.get(task.store_key,
-                                   count=task.fault_class.count)
-                if cached is not None:
-                    complete(task, cached, "cache")
-                    continue
-            to_run.append(_Pending(task=task))
-
-        # 3. dispatch, most-likely class first (results are assembled
-        # by task id, so ordering never changes the output)
         try:
-            self.execute([p.task for p in to_run], complete,
-                         jobs=jobs, baselines=baselines)
-            # 4. assemble; the decoder is fault-simulated here, in the
+            # resolve journal + store, then dispatch the rest,
+            # most-likely class first (results are assembled by task
+            # id, so ordering never changes the output)
+            self.execute(ledger.known(tasks, complete), complete,
+                         jobs=jobs, baselines=prepared.baselines)
+            # assemble; the decoder is fault-simulated here, in the
             # parent (one bit-parallel pass over its 256 codes)
-            analyses = self._assemble(wanted, plans, results)
+            analyses = self._assemble(prepared.wanted, prepared.plans,
+                                      results)
         finally:
-            if journal is not None:
-                journal.close()
+            ledger.close()
 
         metrics = self.collector.snapshot(jobs=jobs)
         self.bus.emit(CampaignFinished(metrics=metrics))
         return CampaignResult(
             path_result=PathResult(config=self.config, macros=analyses),
-            metrics=metrics, fingerprint=fingerprint)
+            metrics=metrics, fingerprint=prepared.fingerprint)
 
     def execute(self, tasks: Sequence[ClassTask], complete,
                 jobs: Optional[int] = None,
@@ -558,5 +609,22 @@ class CampaignRunner:
         return analyses
 
     def _analyze_decoder(self) -> MacroAnalysis:
-        from ..core.path import DefectOrientedTestPath
-        return DefectOrientedTestPath(self.config).analyze_decoder()
+        """Digital decoder analysis.
+
+        Bridges stand for the short population, stuck-ats for the
+        opens; counts are weighted ~95/5 to match the defect mix.  The
+        decoder's fault yield is approximated by the comparator's
+        (2.5 %; both are dense layouts), via the synthetic
+        ``defects_sprinkled``.
+        """
+        bridge_records, stuck_records = DecoderFaultEngine().run()
+        weighted = [replace(r, count=11) for r in bridge_records] + \
+            list(stuck_records)
+        total_faults = sum(r.count for r in weighted)
+        pseudo_defects = max(1, int(total_faults / 0.025))
+        result = MacroResult(name="decoder", bbox_area=decoder_area(),
+                             instances=1,
+                             defects_sprinkled=pseudo_defects,
+                             records=tuple(weighted))
+        return MacroAnalysis(result=result, noncat_result=result,
+                             classes=tuple())

@@ -5,7 +5,7 @@ from .advisor import (CATEGORY_GENES, EscapeDiagnosis,
                       recommendations, recommended_gene_flags,
                       render_advice)
 from .path import (DefectOrientedTestPath, MacroAnalysis, PathConfig,
-                   PathResult, fast_config)
+                   PathResult)
 from .options import add_engine_arguments, engine_knobs
 from .quality import (QualityReport, chip_fault_rate, defect_level,
                       dppm, poisson_yield, quality_report)
@@ -19,7 +19,7 @@ from .report import (current_signature_distribution, render_fig3,
 
 __all__ = [
     "DefectOrientedTestPath", "MacroAnalysis", "PathConfig",
-    "PathResult", "fast_config", "current_signature_distribution",
+    "PathResult", "current_signature_distribution",
     "render_fig3", "render_fig4",
     "render_macro_current_detectability", "render_table1",
     "render_table2", "render_table3",

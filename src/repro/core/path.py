@@ -1,10 +1,14 @@
-"""The defect-oriented test path (paper Fig. 1), end to end.
+"""The defect-oriented test path (paper Fig. 1): its knobs, its
+results and the facade that runs it.
 
 For each macro cell: layout -> Monte Carlo defect sprinkling -> fault
 extraction -> fault collapsing (-> optional large-campaign magnitude
 rescaling) -> circuit-level fault models -> analog fault simulation ->
 fault signatures -> sensitisation / propagation -> detection records.
-The per-macro results are then area-scaled into global coverage.
+The per-macro results are then area-scaled into global coverage.  The
+steps themselves live in :mod:`repro.campaign`;
+:meth:`DefectOrientedTestPath.run` hands the config to its
+:class:`~repro.campaign.runner.CampaignRunner`.
 
 Runtime knobs: ``n_defects`` sizes the class-discovery campaign,
 ``magnitude_defects`` optionally re-sprinkles a larger campaign for
@@ -15,27 +19,14 @@ simulated (largest magnitudes first — they dominate the coverage mass).
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..adc.ladder import SEGMENTS_PER_COARSE, ladder_slice_layout
 from ..adc.process import Process, typical
 from ..defects.collapse import FaultClass
 from ..defects.statistics import DefectStatistics
-from ..faultsim.engine import ComparatorFaultEngine
-from ..faultsim.macro_engines import (BiasgenFaultEngine,
-                                      ClockgenFaultEngine,
-                                      DecoderFaultEngine,
-                                      LadderFaultEngine)
-from ..faultsim.noncat import derive_noncatastrophic
-from ..faultsim.signatures import PHASES
-from ..macrotest.coverage import (DetectionRecord, MacroResult,
-                                  global_breakdown, macro_breakdown)
-from ..macrotest.macro import standard_partition
-from ..testgen.dft import DfTConfig, NO_DFT, comparator_layout_for
-from ..adc.biasgen import biasgen_layout
-from ..adc.clockgen import clockgen_layout
+from ..macrotest.coverage import MacroResult, global_breakdown
+from ..testgen.dft import DfTConfig, NO_DFT
 
 
 @dataclass(frozen=True)
@@ -219,194 +210,24 @@ class PathResult:
 
 
 class DefectOrientedTestPath:
-    """Orchestrates the methodology over the five-macro partition."""
+    """The methodology over the five-macro partition: a facade over
+    :class:`~repro.campaign.runner.CampaignRunner`."""
 
     def __init__(self, config: Optional[PathConfig] = None) -> None:
         self.config = config or PathConfig()
-        self._comparator_engine: Optional[ComparatorFaultEngine] = None
-
-    # -- shared pieces -----------------------------------------------------
-
-    def _classes_for(self, cell) -> List[FaultClass]:
-        from ..campaign.plan import discover_classes
-        return discover_classes(cell, self.config)
-
-    def comparator_engine(self) -> ComparatorFaultEngine:
-        """Comparator engine for this config, shared per process.
-
-        The engine (and its compiled good space) lives in the campaign
-        task cache, so path instances, serial campaign runs and forked
-        pool workers all reuse one compilation per process.
-        """
-        if self._comparator_engine is None:
-            from ..campaign.plan import comparator_spec
-            from ..campaign.tasks import get_engine
-            self._comparator_engine = get_engine(
-                comparator_spec(self.config))
-        return self._comparator_engine
-
-    def _ivdd_halfwidth(self) -> float:
-        """Chip-level IVdd acceptance half-width from the comparator
-        good space (worst phase)."""
-        from ..campaign.plan import ivdd_halfwidth
-        return ivdd_halfwidth(self.config)
-
-    # -- per-macro analyses ---------------------------------------------------
-
-    def analyze_comparator(self,
-                           progress: Optional[Callable] = None
-                           ) -> MacroAnalysis:
-        cell = comparator_layout_for(self.config.dft)
-        classes = self._classes_for(cell)
-        engine = self.comparator_engine()
-
-        # the engine satisfies the FaultEngine protocol (it propagates
-        # its own signature), so the comparator needs no special-casing
-        def records_for(class_list) -> Tuple[DetectionRecord, ...]:
-            records = []
-            for k, fc in enumerate(class_list):
-                records.append(engine.simulate_class(fc))
-                if progress is not None:
-                    progress("comparator", k + 1, len(class_list))
-            return tuple(records)
-
-        result = MacroResult(name="comparator", bbox_area=cell.area(),
-                             instances=256,
-                             defects_sprinkled=self.config.n_defects,
-                             records=records_for(classes))
-        noncat_result = None
-        if self.config.include_noncat:
-            noncat_classes = derive_noncatastrophic(classes)
-            if self.config.max_classes is not None:
-                noncat_classes = noncat_classes[:self.config.max_classes]
-            noncat_result = MacroResult(
-                name="comparator", bbox_area=cell.area(), instances=256,
-                defects_sprinkled=self.config.n_defects,
-                records=records_for(noncat_classes))
-        return MacroAnalysis(result=result, noncat_result=noncat_result,
-                             classes=tuple(classes))
-
-    def _analyze_with_engine(self, name: str, cell, instances: int,
-                             engine) -> MacroAnalysis:
-        classes = self._classes_for(cell)
-        records = tuple(engine.simulate_class(fc) for fc in classes)
-        result = MacroResult(name=name, bbox_area=cell.area(),
-                             instances=instances,
-                             defects_sprinkled=self.config.n_defects,
-                             records=records)
-        noncat_result = None
-        if self.config.include_noncat:
-            noncat_classes = derive_noncatastrophic(classes)
-            if self.config.max_classes is not None:
-                noncat_classes = noncat_classes[:self.config.max_classes]
-            noncat_result = MacroResult(
-                name=name, bbox_area=cell.area(), instances=instances,
-                defects_sprinkled=self.config.n_defects,
-                records=tuple(engine.simulate_class(fc)
-                              for fc in noncat_classes))
-        return MacroAnalysis(result=result, noncat_result=noncat_result,
-                             classes=tuple(classes))
-
-    def analyze_ladder(self) -> MacroAnalysis:
-        engine = LadderFaultEngine(
-            process=self.config.process,
-            ivdd_window_halfwidth=self._ivdd_halfwidth(),
-            warm_start=self.config.warm_start, drop=self.config.drop,
-            solver=self.config.solver)
-        return self._analyze_with_engine(
-            "ladder", ladder_slice_layout(),
-            256 // SEGMENTS_PER_COARSE, engine)
-
-    def analyze_clockgen(self) -> MacroAnalysis:
-        engine = ClockgenFaultEngine(process=self.config.process,
-                                     warm_start=self.config.warm_start,
-                                     drop=self.config.drop,
-                                     solver=self.config.solver)
-        return self._analyze_with_engine("clockgen", clockgen_layout(),
-                                         1, engine)
-
-    def analyze_biasgen(self) -> MacroAnalysis:
-        engine = BiasgenFaultEngine(
-            process=self.config.process,
-            ivdd_window_halfwidth=self._ivdd_halfwidth(),
-            warm_start=self.config.warm_start, drop=self.config.drop,
-            solver=self.config.solver)
-        cell = biasgen_layout(dft=self.config.dft.bias_line_reorder)
-        return self._analyze_with_engine("biasgen", cell, 1, engine)
-
-    def analyze_decoder(self,
-                        comparator_yield: float = 0.025
-                        ) -> MacroAnalysis:
-        """Digital decoder analysis.
-
-        Bridges stand for the short population, stuck-ats for the
-        opens; counts are weighted ~95/5 to match the defect mix.  The
-        decoder's fault yield is approximated by the comparator's (both
-        are dense layouts), via the synthetic ``defects_sprinkled``.
-        """
-        engine = DecoderFaultEngine()
-        bridge_records, stuck_records = engine.run()
-        weighted = [replace(r, count=11) for r in bridge_records] + \
-            list(stuck_records)
-        from ..macrotest.macro import decoder_area
-        total_faults = sum(r.count for r in weighted)
-        pseudo_defects = max(1, int(total_faults / comparator_yield))
-        result = MacroResult(name="decoder", bbox_area=decoder_area(),
-                             instances=1,
-                             defects_sprinkled=pseudo_defects,
-                             records=tuple(weighted))
-        return MacroAnalysis(result=result, noncat_result=result,
-                             classes=tuple())
-
-    # -- full run -----------------------------------------------------------------
 
     def run(self, macros: Optional[Sequence[str]] = None,
-            progress: Optional[Callable] = None,
             options=None, bus=None) -> PathResult:
         """Run the path over the requested macros (default: all five).
 
-        Execution is delegated to the campaign runner
-        (:class:`~repro.campaign.runner.CampaignRunner`): serial and
-        in-memory by default, parallel / cached / resumable when
-        ``options`` (a
+        Serial and in-memory by default; parallel, cached or
+        resumable when ``options`` (a
         :class:`~repro.campaign.runner.CampaignOptions`) says so.
-        ``progress(macro, done, total)`` is kept for backwards
-        compatibility and is fed from the campaign event stream.
+        ``bus`` receives the campaign's progress events.
         """
-        from ..campaign.events import (ClassCompleted, EventBus,
-                                       MacroPlanned)
         from ..campaign.runner import CampaignOptions, CampaignRunner
 
         if options is None:
             options = CampaignOptions(jobs=1)
-        if bus is None:
-            bus = EventBus()
-        if progress is not None:
-            totals: Dict[Tuple[str, str], int] = {}
-            counts: Dict[Tuple[str, str], int] = {}
-
-            def adapter(event) -> None:
-                if isinstance(event, MacroPlanned):
-                    totals[(event.macro, "cat")] = event.n_classes
-                    totals[(event.macro, "noncat")] = event.n_noncat
-                elif isinstance(event, ClassCompleted):
-                    key = (event.macro, event.kind)
-                    counts[key] = counts.get(key, 0) + 1
-                    progress(event.macro, counts[key],
-                             totals.get(key, event.total))
-
-            bus.subscribe(adapter)
         runner = CampaignRunner(self.config, options, bus=bus)
         return runner.run(macros).path_result
-
-
-def fast_config(dft: DfTConfig = NO_DFT) -> PathConfig:
-    """Reduced-budget configuration for tests and quick benchmarks.
-
-    Controlled by the ``REPRO_FULL`` environment variable: when set, the
-    full paper-scale budgets are used instead.
-    """
-    if os.environ.get("REPRO_FULL"):
-        return PathConfig(n_defects=25000, magnitude_defects=2_000_000,
-                          dft=dft)
-    return PathConfig(n_defects=8000, max_classes=40, dft=dft)

@@ -44,9 +44,9 @@ class FaultEngine(Protocol):
     A fault engine turns one collapsed fault class into one
     :class:`~repro.macrotest.coverage.DetectionRecord`.  The comparator,
     ladder, clock-generator and bias-generator engines all implement
-    it, which lets :mod:`repro.campaign.tasks` and
-    :mod:`repro.core.path` dispatch any macro's classes through the
-    same code path.
+    it, and :meth:`simulate_class` is the only way a class is
+    simulated: :mod:`repro.campaign.tasks` dispatches any macro's
+    classes through it.
 
     ``runtime_checkable`` only verifies the method exists — it cannot
     check the signature — but that is enough for the isinstance guards

@@ -19,8 +19,7 @@ reports a ``ConvergenceError`` (see ``docs/ENGINE.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, Optional, Sequence, TYPE_CHECKING,
-                    Tuple)
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -263,14 +262,6 @@ class ComparatorFaultEngine:
                            iin=zeros, ivref=zeros, ibias=zeros,
                            clock_deviation=0.0, resolved=False)
 
-    def measure_polarity(self, model: Optional[FaultModel],
-                         vin_offset: float,
-                         process: Optional[Process] = None
-                         ) -> Measurement:
-        """Measure one (possibly faulty) run at vref + vin_offset."""
-        p = process or self.config.process
-        return self._measure_runs([(model, vin_offset, p)])[0]
-
     # -- good space ---------------------------------------------------------
 
     def good_space(self) -> GoodSpace:
@@ -499,14 +490,3 @@ class ComparatorFaultEngine:
             fault_type=fault_class.fault_type,
             violated_keys=res.signature.violated_keys,
             detected_by=detected_by)
-
-    def run(self, classes: Sequence[FaultClass],
-            progress: Optional[Callable[[int, int], None]] = None
-            ) -> List["DetectionRecord"]:
-        """Simulate every class; optional progress callback."""
-        results = []
-        for k, fc in enumerate(classes):
-            results.append(self.simulate_class(fc))
-            if progress is not None:
-                progress(k + 1, len(classes))
-        return results

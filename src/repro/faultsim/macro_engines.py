@@ -137,7 +137,6 @@ class LadderFaultEngine:
         self._guide: Optional[Trajectory] = None
         self._good_voltage: Optional[bool] = None
         self.baseline_source = "computed"
-        self.propagations_dropped = 0
 
     def _testbench(self, process: Process):
         tb = ladder_testbench(process)
@@ -175,12 +174,6 @@ class LadderFaultEngine:
         return [out if isinstance(out, ConvergenceError)
                 else self._extract(out)
                 for out in self._solve_raw(circuits, warm=warm)]
-
-    def _solve(self, circuit):
-        sol = self._solve_many([circuit])[0]
-        if isinstance(sol, ConvergenceError):
-            raise sol
-        return sol
 
     def _net_map(self) -> Dict[str, str]:
         mapping = {f"tap{k}": f"tap{LADDER_SLICE_BASE + k}"
@@ -267,8 +260,6 @@ class LadderFaultEngine:
         if self.drop and np.array_equal(taps, typ["taps"]):
             if self._good_voltage is None:
                 self._good_voltage = propagate_ladder_fault(typ["taps"])
-            else:
-                self.propagations_dropped += 1
             return self._good_voltage
         return propagate_ladder_fault(taps)
 
@@ -316,9 +307,6 @@ class LadderFaultEngine:
                                detected_by=_detected_by(voltage,
                                                         mechanisms))
 
-    def run(self, classes: Sequence[FaultClass]) -> List[DetectionRecord]:
-        return [self.simulate_class(fc) for fc in classes]
-
 
 # ---------------------------------------------------------------------------
 # clock generator
@@ -353,7 +341,6 @@ class ClockgenFaultEngine:
         self._guide: Optional[Trajectory] = None
         self._propagate_memo: Dict[Tuple, bool] = {}
         self.baseline_source = "computed"
-        self.propagations_dropped = 0
 
     def _extract(self, tr: TransientResult) -> dict:
         return {
@@ -379,12 +366,6 @@ class ClockgenFaultEngine:
         return [out if isinstance(out, ConvergenceError)
                 else self._extract(out)
                 for out in self._run_raw(circuits, warm=warm)]
-
-    def _run(self, circuit):
-        sol = self._run_many([circuit])[0]
-        if isinstance(sol, ConvergenceError):
-            raise sol
-        return sol
 
     def good(self) -> dict:
         if self._good is None:
@@ -445,8 +426,6 @@ class ClockgenFaultEngine:
         if verdict is None:
             verdict = propagate_clock_fault(alive, degraded)
             self._propagate_memo[key] = verdict
-        else:
-            self.propagations_dropped += 1
         return verdict
 
     def simulate_class(self, fault_class: FaultClass) -> DetectionRecord:
@@ -488,9 +467,6 @@ class ClockgenFaultEngine:
                                detected_by=_detected_by(voltage,
                                                         mechanisms))
 
-    def run(self, classes: Sequence[FaultClass]) -> List[DetectionRecord]:
-        return [self.simulate_class(fc) for fc in classes]
-
 
 # ---------------------------------------------------------------------------
 # bias generator
@@ -526,7 +502,6 @@ class BiasgenFaultEngine:
         self._bias_guide: Optional[Trajectory] = None
         self._comp_guides: Dict[str, Trajectory] = {}
         self.baseline_source = "computed"
-        self.reruns_dropped = 0
 
     def _solve_bias(self, circuit, warm: bool = False) -> dict:
         guesses = None
@@ -584,10 +559,6 @@ class BiasgenFaultEngine:
                 raise tr
             results.append(self._extract_comparator(tr))
         return results
-
-    def _comparator_run(self, vbn1: float, vbn2: float, vin_offset: float
-                        ) -> dict:
-        return self._comparator_runs(vbn1, vbn2, [vin_offset])[0]
 
     def good(self) -> dict:
         if self._good is None:
@@ -682,7 +653,6 @@ class BiasgenFaultEngine:
                 # detection-driven drop: the bias lines stayed inside
                 # the dead band, so the bank re-run cannot move any
                 # decision; only the macro's own supply draw remains
-                self.reruns_dropped += 1
                 if abs(d_own) > self.ivdd_window_halfwidth:
                     mechanisms.add(CurrentMechanism.IVDD)
                 outcomes.append((False, mechanisms))
@@ -716,9 +686,6 @@ class BiasgenFaultEngine:
                                fault_type=fault_class.fault_type,
                                detected_by=_detected_by(voltage,
                                                         mechanisms))
-
-    def run(self, classes: Sequence[FaultClass]) -> List[DetectionRecord]:
-        return [self.simulate_class(fc) for fc in classes]
 
 
 # ---------------------------------------------------------------------------

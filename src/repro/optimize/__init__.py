@@ -15,8 +15,8 @@ evolutionary search over test-programme genomes:
 * :mod:`~repro.optimize.seeding` — the legacy fixed menu (greedy set
   cover + advisor recommendations) as generation 0;
 * :mod:`~repro.optimize.evaluate` — candidates scored through the
-  campaign pipeline (store cache hits, memoized campaigns, optional
-  distributed fan-out) on coverage x test time x DfT area x
+  campaign pipeline (store cache hits, memoized campaigns, the local
+  process pool) on coverage x test time x DfT area x
   diagnosability;
 * :mod:`~repro.optimize.journal` — crash-safe run state in the
   results store (``optimize/<run_id>/``);
@@ -29,7 +29,7 @@ evolutionary search over test-programme genomes:
   run|resume|report``.
 
 See ``docs/OPTIMIZE.md`` for the genome encoding, the objective
-definitions, resume semantics and distributed evaluation.
+definitions and resume semantics.
 """
 
 from .measures import (MISSING_CODE, Measure, TestPlan,

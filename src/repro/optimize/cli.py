@@ -7,8 +7,8 @@ Subcommands:
   progress; ``--out`` writes the canonical front JSON, ``--metrics-out``
   the per-generation hypervolume / cache accounting, ``--cache-dir``
   turns every evaluation into a crash-safe journal entry and every
-  repeated campaign into store hits.  ``--workers N`` fans fresh
-  campaigns out over the distributed fabric.
+  repeated campaign into store hits.  ``--jobs N`` runs each fresh
+  campaign over the local process pool.
 * ``resume`` — continue an interrupted run from its journal
   (requires the same config; a finished run replays to the identical
   front without simulating anything).
@@ -55,12 +55,6 @@ def _add_campaign_arguments(p) -> None:
                         "records across candidates AND journals the "
                         "run for resume (default: none; resume "
                         f"defaults to {DEFAULT_CACHE_DIR})")
-    p.add_argument("--workers", type=int, default=0,
-                   help="fan fresh campaigns out over N distributed "
-                        "workers instead of the local pool")
-    p.add_argument("--worker-mode", default="process",
-                   choices=("process", "thread"),
-                   help="distributed worker flavour")
 
 
 def _add_search_arguments(p) -> None:
@@ -130,9 +124,7 @@ def _search(args, bus: EventBus) -> EvolutionarySearch:
     options = CampaignOptions(jobs=args.jobs,
                               cache_dir=args.cache_dir)
     return EvolutionarySearch(config, search, options,
-                              macros=tuple(args.macros), bus=bus,
-                              workers=args.workers,
-                              worker_mode=args.worker_mode)
+                              macros=tuple(args.macros), bus=bus)
 
 
 def _progress(event) -> None:

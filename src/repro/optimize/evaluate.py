@@ -28,10 +28,9 @@ reproducible bit-for-bit):
   under the campaign's compiled fault dictionary (maximize; see
   ``docs/DIAGNOSIS.md``).
 
-Setting ``workers=N`` fans each fresh campaign out across the PR 5
-coordinator/worker fabric instead of the local pool — the merge is
-byte-identical, so objectives (and fronts) don't depend on where the
-simulations ran.
+Fresh campaigns run over the local process pool
+(``CampaignOptions.jobs``); records are identical at any ``jobs``, so
+objectives (and fronts) don't depend on how wide the pool was.
 """
 
 from __future__ import annotations
@@ -225,28 +224,18 @@ class CampaignEvaluator:
                  options: Optional[CampaignOptions] = None,
                  macros: Sequence[str] = ("comparator",),
                  bus: Optional[EventBus] = None,
-                 workers: int = 0, worker_mode: str = "process",
                  yield_loss: float = YIELD_LOSS) -> None:
         self.base_config = base_config or PathConfig()
         self.options = options or CampaignOptions()
         self.macros = tuple(macros)
         self.bus = bus or EventBus()
-        self.workers = int(workers)
-        self.worker_mode = worker_mode
         self.yield_loss = yield_loss
         self._campaigns: Dict[str, _CampaignScore] = {}
 
     # -- campaign half -----------------------------------------------------
 
     def _run_campaign(self, config: PathConfig) -> CampaignResult:
-        bus = EventBus()
-        if self.workers > 0:
-            from ..campaign.distributed import Coordinator
-            coordinator = Coordinator(config, self.options, bus=bus,
-                                      macros=list(self.macros))
-            return coordinator.run(workers=self.workers,
-                                   worker_mode=self.worker_mode)
-        runner = CampaignRunner(config, self.options, bus=bus)
+        runner = CampaignRunner(config, self.options, bus=EventBus())
         return runner.run(macros=list(self.macros))
 
     def _campaign_score(self, genome: PlanGenome

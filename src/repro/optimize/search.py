@@ -108,8 +108,7 @@ class EvolutionarySearch:
 
     ``evaluator`` is injectable — tests drive the loop with a stub
     that scores genomes analytically; production uses the campaign-
-    backed :class:`~repro.optimize.evaluate.CampaignEvaluator` and an
-    optional distributed fan-out (``workers``).
+    backed :class:`~repro.optimize.evaluate.CampaignEvaluator`.
     """
 
     def __init__(self, base_config: Optional[PathConfig] = None,
@@ -117,7 +116,6 @@ class EvolutionarySearch:
                  options: Optional[CampaignOptions] = None,
                  macros: Sequence[str] = ("comparator",),
                  bus: Optional[EventBus] = None,
-                 workers: int = 0, worker_mode: str = "process",
                  evaluator=None,
                  seed_genomes: Optional[Sequence[PlanGenome]] = None
                  ) -> None:
@@ -128,7 +126,7 @@ class EvolutionarySearch:
         self.bus = bus or EventBus()
         self.evaluator = evaluator or CampaignEvaluator(
             self.base_config, self.options, macros=self.macros,
-            bus=self.bus, workers=workers, worker_mode=worker_mode)
+            bus=self.bus)
         self._seed_genomes = list(seed_genomes) if seed_genomes \
             else None
         self.reference = REFERENCE_POINT

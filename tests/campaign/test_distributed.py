@@ -48,7 +48,7 @@ class FakeClock:
         self.now += dt
 
 
-def make_coordinator(clock=None, lease=30.0, **kwargs):
+def make_coordinator(clock=None, lease=30.0, cache_dir=None, **kwargs):
     """Coordinator over the stubbed clockgen campaign.
 
     Pass a :class:`FakeClock` for deterministic lease expiry; the
@@ -59,7 +59,8 @@ def make_coordinator(clock=None, lease=30.0, **kwargs):
     defaults = dict(macros=["clockgen"], shard_size=2, lease=lease,
                     clock=clock or _time.monotonic)
     defaults.update(kwargs)
-    return Coordinator(tiny_config(), CampaignOptions(jobs=1),
+    return Coordinator(tiny_config(),
+                       CampaignOptions(jobs=1, cache_dir=cache_dir),
                        **defaults)
 
 
@@ -279,10 +280,12 @@ class TestReportMerge:
         for tid in lease["task_ids"]:
             assert tid in coordinator._results
 
-    def test_max_retries_degrades_and_finishes(self, stub_simulation):
+    def test_max_retries_degrades_and_finishes(self, stub_simulation,
+                                               tmp_path):
         clock = FakeClock()
         coordinator = make_coordinator(clock=clock, lease=10.0,
-                                       max_shard_retries=1)
+                                       max_shard_retries=1,
+                                       cache_dir=tmp_path)
         coordinator.prepare()
         total_shards = len(coordinator._shards)
 
@@ -298,6 +301,8 @@ class TestReportMerge:
         assert result.metrics.degraded == result.metrics.total_tasks
         records = result.path_result.macros["clockgen"].result.records
         assert all(not r.voltage_detected for r in records)
+        # degraded records are never stored: a rerun retries them
+        assert list(coordinator._prepared.store.iter_records()) == []
 
 
 class TestCoordinatorRestart:
@@ -315,7 +320,7 @@ class TestCoordinatorRestart:
         first.report("w1", lease["shard_id"],
                      entries_for(first, lease))
         merged = set(first._results)
-        first._journal.close()  # crash: server never assembled
+        first._ledger.close()  # crash: server never assembled
 
         second = Coordinator(tiny_config(), options,
                              macros=["clockgen"], shard_size=2)

@@ -208,14 +208,6 @@ class TestPathDelegation:
             .run(macros=["clockgen"])
         assert len(result.macros["clockgen"].result.records) == 3
 
-    def test_progress_callback_still_fires(self, stub_simulation):
-        calls = []
-        DefectOrientedTestPath(tiny_config()).run(
-            macros=["clockgen"],
-            progress=lambda macro, done, total:
-                calls.append((macro, done, total)))
-        assert ("clockgen", 3, 3) in calls
-
     def test_unknown_macro_still_valueerror(self, stub_simulation):
         with pytest.raises(ValueError):
             DefectOrientedTestPath(tiny_config()).run(macros=["fpga"])

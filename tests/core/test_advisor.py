@@ -91,7 +91,8 @@ class TestOnRealRun:
 
         config = PathConfig(n_defects=10000, max_classes=25,
                             include_noncat=False)
-        analysis = DefectOrientedTestPath(config).analyze_comparator()
+        analysis = DefectOrientedTestPath(config).run(
+            ["comparator"]).macros["comparator"]
         diagnoses = diagnose_escapes(list(analysis.classes),
                                      list(analysis.result.records))
         categories = {d.category for d in diagnoses}

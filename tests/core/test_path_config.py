@@ -2,28 +2,8 @@
 
 import pytest
 
-from repro.core.path import PathConfig, fast_config
-from repro.testgen import DfTConfig, FULL_DFT, NO_DFT
-
-
-class TestFastConfig:
-    def test_default_quick(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        config = fast_config()
-        assert config.max_classes is not None
-        assert config.n_defects < 25000
-        assert config.magnitude_defects is None
-
-    def test_full_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "1")
-        config = fast_config()
-        assert config.n_defects == 25000
-        assert config.magnitude_defects == 2_000_000
-        assert config.max_classes is None
-
-    def test_dft_passed_through(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        assert fast_config(FULL_DFT).dft == FULL_DFT
+from repro.core.path import PathConfig
+from repro.testgen import NO_DFT
 
 
 class TestPathConfig:

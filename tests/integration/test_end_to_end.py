@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.adc.comparator import comparator_layout
-from repro.core import DefectOrientedTestPath, PathConfig
+from repro.campaign import ivdd_halfwidth
+from repro.core import PathConfig
 from repro.defects import analyze_defects, collapse, sprinkle
 from repro.faultsim import (ComparatorFaultEngine, CurrentMechanism,
                             VoltageSignature, derive_noncatastrophic)
@@ -85,8 +86,8 @@ class TestDfTPath:
         cfg_dft = PathConfig(n_defects=1000, max_classes=2,
                              include_noncat=False,
                              dft=DfTConfig(flipflop_redesign=True))
-        w_std = DefectOrientedTestPath(cfg_std)._ivdd_halfwidth()
-        w_dft = DefectOrientedTestPath(cfg_dft)._ivdd_halfwidth()
+        w_std = ivdd_halfwidth(cfg_std)
+        w_dft = ivdd_halfwidth(cfg_dft)
         assert w_dft < w_std / 2.0
 
     def test_bias_reorder_removes_twin_bridges(self):
